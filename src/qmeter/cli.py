@@ -17,7 +17,9 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .cycle import CycleEngine, EngineParams, crosscheck, run_cycle
 from .errors import ConfigurationError, InvariantViolation, ValidationError
@@ -40,6 +42,7 @@ CSV_HEADER = "alpha,phi,w_ext,q_m,q_t,eta,ds,xi,zeta,delta,gamma"
 CSV_FIELDS = CSV_HEADER.split(",")
 SLICE_HEADER = "alpha,phi,w_ext,q_m,eta,ds,zeta,delta,gamma,dp3,dp4"
 SLICE_FIELDS = SLICE_HEADER.split(",")
+CSV_BLOCK = 512  # rows formatted per write
 
 BETA_TOKEN = "inverse_hbar_omega"
 
@@ -170,29 +173,33 @@ def fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _csv_line(values: Iterable[float]) -> str:
-    return ",".join(fmt(v) for v in values)
+def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
+    """Header plus one line of ``fmt`` tokens per structured row.
+
+    Rows are converted ``CSV_BLOCK`` at a time, so the Python objects held
+    at once do not grow with the table.
+    """
+    line = ",".join(["%.17g"] * len(fields)) + "\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(fields) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = rows[fields][start:start + CSV_BLOCK].tolist()
+            fh.write("".join([line % values for values in block]))
 
 
 def write_table_csv(table: SweepTable, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in table.rows:
-            fh.write(_csv_line(float(row[name]) for name in CSV_FIELDS) + "\n")
+    write_rows_csv(table.rows, CSV_FIELDS, path)
 
 
-def write_slice_csv(profile, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(SLICE_HEADER + "\n")
-        for row in profile:
-            fh.write(_csv_line(float(row[name]) for name in SLICE_FIELDS) + "\n")
+def write_slice_csv(profile: np.ndarray, path: Path) -> None:
+    write_rows_csv(profile, SLICE_FIELDS, path)
 
 
 def _record_pairs(record) -> list[tuple[str, str]]:
     report = crosscheck(record)
     pairs = [
-        ("alpha", fmt(record.params.alpha)),
-        ("phi", fmt(record.params.phi)),
+        ("alpha", fmt(record.alpha)),
+        ("phi", fmt(record.phi)),
         ("omega_tau", fmt(record.params.omega_tau)),
         ("beta_hbar_omega", fmt(record.params.beta_hbar_omega)),
         ("steps", str(record.params.steps)),
@@ -219,14 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key, value in _record_pairs(record):
         print(f"{key}={value}")
     if args.csv:
-        path = Path(args.csv)
-        with path.open("w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.write(_csv_line([
-                record.params.alpha, record.params.phi, record.w_ext, record.q_m,
-                record.q_t, record.eta, record.d_s, record.probs.xi,
-                record.probs.zeta, record.probs.delta, record.probs.gamma,
-            ]) + "\n")
+        write_rows_csv(record.row, CSV_FIELDS, Path(args.csv))
     return 0
 
 

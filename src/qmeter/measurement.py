@@ -1,4 +1,9 @@
-"""Projective measurement basis on the Bloch sphere and the dephasing channel."""
+"""Projective measurement basis on the Bloch sphere and the dephasing channel.
+
+Both functions broadcast over a leading node axis: angle arrays of shape
+(M,) give kets of shape (M, 2), and ``measure`` then returns one
+post-measurement state and one pair of outcome probabilities per node.
+"""
 
 from __future__ import annotations
 
@@ -22,44 +27,68 @@ class MeasurementBasis:
     chi2 = cos(alpha/2) |up> + e^{i phi} sin(alpha/2) |down>
 
     The global phases follow these formulas exactly; probabilities are
-    phase-free but intermediate overlap checks are not.
+    phase-free but intermediate overlap checks are not.  ``kets`` stacks
+    (chi1, chi2) on its first axis; with array angles a node axis follows.
     """
 
-    alpha: float
-    phi: float
-    chi1: np.ndarray = field(repr=False)
-    chi2: np.ndarray = field(repr=False)
+    alpha: float | np.ndarray
+    phi: float | np.ndarray
+    kets: np.ndarray = field(repr=False)  # shape (2, ..., 2)
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.outer(self.chi1, self.chi1.conj()), np.outer(self.chi2, self.chi2.conj())
+    @property
+    def chi1(self) -> np.ndarray:
+        return self.kets[0]
+
+    @property
+    def chi2(self) -> np.ndarray:
+        return self.kets[1]
+
+    def projectors(self) -> np.ndarray:
+        """(pi1, pi2) stacked on the first axis."""
+        return _outer(self.kets)
 
 
-def _reduce_angles(alpha: float, phi: float) -> tuple[float, float]:
-    if not (math.isfinite(alpha) and math.isfinite(phi)):
+def _outer(ket: np.ndarray) -> np.ndarray:
+    return ket[..., :, None] * ket.conj()[..., None, :]
+
+
+def _overlap(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """<bra|ket> over the last axis."""
+    terms = bra.conj() * ket
+    return terms[..., 0] + terms[..., 1]
+
+
+def _reduce_angles(alpha, phi):
+    alpha = np.asarray(alpha, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if not (np.isfinite(alpha).all() and np.isfinite(phi).all()):
         raise ValidationError("alpha and phi must be finite")
     alpha = alpha % TWO_PI
     phi = phi % TWO_PI
-    if alpha > math.pi and not math.isclose(alpha, math.pi, abs_tol=1e-15):
-        raise ValidationError(f"alpha reduces to {alpha!r}, outside [0, pi]")
-    return min(alpha, math.pi), phi
+    # alpha > pi and not math.isclose(alpha, pi, abs_tol=1e-15): past pi,
+    # the default rel_tol=1e-9 of isclose always exceeds abs_tol
+    if (alpha - math.pi > 1e-9 * alpha).any():
+        raise ValidationError(f"alpha reduces to {float(alpha.max())!r}, outside [0, pi]")
+    return np.minimum(alpha, math.pi)[()], phi[()]
 
 
-def basis_kets(alpha: float, phi: float,
-               tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
+def basis_kets(alpha, phi, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
     alpha, phi = _reduce_angles(alpha, phi)
-    c = math.cos(alpha / 2.0)
-    s = math.sin(alpha / 2.0)
-    chi1 = np.array([np.exp(-1j * phi) * s, -c], dtype=complex)
-    chi2 = np.array([c, np.exp(1j * phi) * s], dtype=complex)
-    overlap = abs(np.vdot(chi1, chi2))
-    p1 = np.outer(chi1, chi1.conj())
-    p2 = np.outer(chi2, chi2.conj())
-    completeness = float(np.abs(p1 + p2 - IDENTITY).max())
+    c = np.cos(alpha / 2.0)
+    s = np.sin(alpha / 2.0)
+    kets = np.empty((2,) + np.shape(alpha) + (2,), dtype=complex)
+    kets[1, ..., 1] = np.exp(1j * phi) * s
+    kets[0, ..., 0] = kets[1, ..., 1].conj()
+    kets[0, ..., 1] = -c
+    kets[1, ..., 0] = c
+    overlap = np.abs(_overlap(kets[0], kets[1])).max()
+    proj = _outer(kets)
+    completeness = np.abs(proj[0] + proj[1] - IDENTITY).max()
     if overlap > tol.basis or completeness > tol.basis:
         raise ValidationError(
             f"basis not orthonormal: overlap {overlap:.3e}, completeness {completeness:.3e}"
         )
-    return MeasurementBasis(alpha=alpha, phi=phi, chi1=chi1, chi2=chi2)
+    return MeasurementBasis(alpha=alpha, phi=phi, kets=kets)
 
 
 def measure(
@@ -70,21 +99,24 @@ def measure(
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Non-selective projective measurement: rho -> p1*pi1 + p2*pi2 dephasing.
 
-    Returns the post-measurement state and the outcome probabilities.  The
-    symmetrized update (M + M^dag)/2 makes the returned state Hermitian to
-    the last bit; ``rehermitize=False`` is a fault-injection hook for the
-    verification suite and must not be used otherwise.
+    Returns the post-measurement state and the outcome probabilities, per
+    node when the basis has a node axis.  The symmetrized update
+    (M + M^dag)/2 makes the returned state Hermitian to the last bit;
+    ``rehermitize=False`` is a fault-injection hook for the verification
+    suite and must not be used otherwise.
     """
     rho = require_density_matrix(rho, tol=tol)
-    pi1, pi2 = basis.projectors()
-    post = pi1 @ rho @ pi1 + pi2 @ rho @ pi2
+    proj = basis.projectors()
+    proj_rho = proj @ rho
+    post = proj_rho @ proj
+    post = post[0] + post[1]
     if rehermitize:
-        post = 0.5 * (post + post.conj().T)
-    p1 = float(np.vdot(basis.chi1, rho @ basis.chi1).real)
-    p2 = float(np.vdot(basis.chi2, rho @ basis.chi2).real)
-    if abs(p1 + p2 - 1.0) > tol.probability:
-        raise ValidationError(f"probabilities sum to {p1 + p2!r}")
-    leak = abs(np.vdot(basis.chi1, post @ basis.chi2))
+        post = 0.5 * (post + post.conj().swapaxes(-1, -2))
+    p1, p2 = np.trace(proj_rho, axis1=-2, axis2=-1).real
+    deviation = np.abs(p1 + p2 - 1.0).max()
+    if deviation > tol.probability:
+        raise ValidationError(f"probabilities miss a sum of 1 by {deviation:.3e}")
+    leak = np.abs(_overlap(basis.chi1, (post @ basis.chi2[..., None])[..., 0])).max()
     if leak > tol.channel:
         raise ValidationError(f"post state not diagonal in the basis (leak {leak:.3e})")
     return post, (p1, p2)

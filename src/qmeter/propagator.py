@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -136,7 +137,7 @@ def time_ordered_propagator(
     ``hamiltonian`` is a test hook: when given, it replaces the drive with an
     arbitrary H(t) (in units of hbar_omega) evaluated at the step midpoints.
     """
-    if not isinstance(steps, int) or steps < 2:
+    if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ConfigurationError("steps must be an integer >= 2")
     if hamiltonian is None:
         factors = _drive_step_factors(spec, steps)

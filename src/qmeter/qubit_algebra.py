@@ -5,7 +5,9 @@ expectation values and von Neumann entropy.  Everything here works in
 internal units: energies in multiples of hbar*omega, times as the
 dimensionless phase omega*t, so hbar never appears in the formulas.
 
-All functions are pure; returned arrays are fresh copies.
+All functions are pure; returned arrays are fresh copies.  The
+density-matrix checks, eigenvalues and entropies also accept a stack of
+matrices with shape (..., 2, 2) and then return one value per matrix.
 """
 
 from __future__ import annotations
@@ -39,23 +41,34 @@ def pauli(axis: str) -> np.ndarray:
         raise ValidationError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
 
 
-def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
+def _as_stack(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValidationError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
+def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
+    m = _as_stack(m, name)
+    if m.ndim != 2:
+        raise ValidationError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
+    return m
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
+    return np.abs(m - _dagger(m)).max(axis=(-2, -1))
 
 
 def require_hermitian(m: np.ndarray, name: str = "matrix",
                       tol: float = DEFAULT_TOLERANCES.hermiticity) -> np.ndarray:
-    m = _as_matrix(m, name)
-    res = hermiticity_residual(m)
+    m = _as_stack(m, name)
+    res = np.abs(m - _dagger(m)).max()
     if res > tol:
         raise ValidationError(f"{name} is not Hermitian (residual {res:.3e} > {tol:.1e})")
     return m
@@ -73,10 +86,14 @@ def _pauli_decompose(h: np.ndarray) -> tuple[float, float, np.ndarray]:
     return a, b, n
 
 
-def eigvals_hermitian(h: np.ndarray, name: str = "matrix") -> tuple[float, float]:
-    """Closed-form (ascending) eigenvalues of a Hermitian 2x2 matrix."""
-    h = require_hermitian(h, name)
-    a, b, _ = _pauli_decompose(h)
+def eigvals_hermitian(h: np.ndarray, name: str = "matrix"):
+    """Closed-form (ascending) eigenvalues of a Hermitian 2x2 matrix or stack."""
+    return _eigvals(require_hermitian(h, name))
+
+
+def _eigvals(h: np.ndarray):
+    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    b = np.hypot(np.abs(h[..., 0, 1]), 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
     return a - b, a + b
 
 
@@ -86,7 +103,7 @@ def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
     H is in energy units of hbar*omega and t is the dimensionless phase, so
     the exponent is dimensionless.
     """
-    h = require_hermitian(h, "H")
+    h = require_hermitian(_as_matrix(h, "H"), "H")
     if not math.isfinite(t):
         raise ValidationError("t must be finite")
     a, b, n = _pauli_decompose(h)
@@ -99,7 +116,7 @@ def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
 
 def unitarity_residual(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
-    return float(np.abs(u.conj().T @ u - IDENTITY).max())
+    return float(np.abs(_dagger(u) @ u - IDENTITY).max())
 
 
 def require_unitary(u: np.ndarray, name: str = "U",
@@ -117,7 +134,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
     Uses rho = (I - tanh(beta*b) n.sigma)/2 on the traceless part, which is
     exact and immune to overflow at large beta.
     """
-    h = require_hermitian(h, "H")
+    h = require_hermitian(_as_matrix(h, "H"), "H")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValidationError("beta must be finite and >= 0")
     _, b, n = _pauli_decompose(h)
@@ -126,61 +143,55 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
     return rho
 
 
-def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
-    """Hermiticity, trace and positivity residuals of a candidate state."""
-    rho = _as_matrix(rho, "rho")
-    herm = hermiticity_residual(rho)
-    tr = float(abs(rho[0, 0] + rho[1, 1] - 1.0))
-    sym = 0.5 * (rho + rho.conj().T)
-    lo, _ = eigvals_hermitian(sym)
-    neg = float(max(0.0, -lo))
-    return {"hermiticity": herm, "trace": tr, "negativity": neg}
-
-
 def require_density_matrix(rho: np.ndarray, name: str = "rho",
                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    rho = _as_matrix(rho, name)
-    res = density_matrix_residuals(rho)
-    if res["hermiticity"] > tol.hermiticity:
-        raise ValidationError(f"{name}: Hermiticity residual {res['hermiticity']:.3e}")
-    if res["trace"] > tol.trace:
-        raise ValidationError(f"{name}: trace deviates from 1 by {res['trace']:.3e}")
-    if res["negativity"] > tol.eig_floor:
-        raise ValidationError(f"{name}: negative eigenvalue {-res['negativity']:.3e}")
+    """Raise unless rho, or every matrix of a stack, is Hermitian with unit
+    trace and no negative eigenvalue."""
+    rho = _as_stack(rho, name)
+    herm = np.abs(rho - _dagger(rho)).max()
+    if herm > tol.hermiticity:
+        raise ValidationError(f"{name}: Hermiticity residual {herm:.3e}")
+    trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0).max()
+    if trace > tol.trace:
+        raise ValidationError(f"{name}: trace deviates from 1 by {trace:.3e}")
+    lo = _eigvals(0.5 * (rho + _dagger(rho)))[0].min()
+    if lo < -tol.eig_floor:
+        raise ValidationError(f"{name}: negative eigenvalue {lo:.3e}")
     return rho
 
 
-def entropy_from_eigenvalues(lo: float, hi: float,
-                             tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Shannon entropy (nats) of {lo, hi}; clamps roundoff-negative values.
+def entropy_from_eigenvalues(lo, hi, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Shannon entropy (nats) of {lo, hi}, elementwise; clamps roundoff-negative values.
 
     Eigenvalues in [-eig_floor, 0] are treated as exact zeros; anything more
     negative is a genuine invariant violation, not roundoff.
     """
-    s = 0.0
-    for lam in (lo, hi):
-        if lam < -tol.eig_floor:
-            raise ValidationError(f"eigenvalue {lam:.3e} below clamp window")
-        lam = min(max(lam, 0.0), 1.0)
-        if lam > 0.0:
-            s -= lam * math.log(lam)
-    if s < 0.0 or s > math.log(2.0) + tol.eig_floor:
-        raise ValidationError(f"entropy {s!r} outside [0, ln 2]")
+    lam = np.array([lo, hi], dtype=float)
+    if lam.min() < -tol.eig_floor:
+        raise ValidationError(f"eigenvalue {lam.min():.3e} below clamp window")
+    lam = lam.clip(0.0, 1.0)
+    terms = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+    s = (0.0 - terms[0]) - terms[1]
+    if s.min() < 0.0 or s.max() > math.log(2.0) + tol.eig_floor:
+        raise ValidationError(f"entropy {float(s.max())!r} outside [0, ln 2]")
     return s
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """S(rho) = -sum(lambda ln lambda) in nats, via the closed-form eigenvalues."""
-    rho = require_density_matrix(rho, tol=tol)
-    lo, hi = eigvals_hermitian(rho)
-    return entropy_from_eigenvalues(lo, hi, tol)
+def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
+                        name: str = "rho"):
+    """S(rho) = -sum(lambda ln lambda) in nats, via the closed-form eigenvalues.
+
+    Checks rho with ``require_density_matrix`` first; a stack gives one
+    entropy per matrix.
+    """
+    return entropy_from_eigenvalues(*_eigvals(require_density_matrix(rho, name, tol)), tol)
 
 
 def expectation(rho: np.ndarray, a: np.ndarray,
                 tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Re Tr(rho A) for Hermitian A; the imaginary leak must stay below tolerance."""
-    rho = require_density_matrix(rho, tol=tol)
-    a = require_hermitian(a, "A", tol.hermiticity)
+    rho = require_density_matrix(_as_matrix(rho, "rho"), tol=tol)
+    a = require_hermitian(_as_matrix(a, "A"), "A", tol.hermiticity)
     value = np.trace(rho @ a)
     if abs(value.imag) > tol.imag_leak:
         raise ValidationError(f"Tr(rho A) has imaginary part {value.imag:.3e}")

@@ -15,20 +15,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TWO_PI = 2.0 * math.pi
 
-ROW_DTYPE = np.dtype([
-    ("alpha", float), ("phi", float),
-    ("w_ext", float), ("q_m", float), ("q_t", float), ("eta", float), ("ds", float),
-    ("xi", float), ("zeta", float), ("delta", float), ("gamma", float),
-    ("ok", bool),
-])
-
-SLICE_DTYPE = np.dtype([
-    ("alpha", float), ("phi", float),
-    ("w_ext", float), ("q_m", float), ("eta", float), ("ds", float),
-    ("zeta", float), ("delta", float), ("gamma", float),
-    ("dp3", float), ("dp4", float),
-])
-
 
 class Objective(enum.Enum):
     MAX_W_EXT = "max_w_ext"
@@ -79,21 +65,6 @@ class Extremum:
     refinement_rounds: int
 
 
-def _fill_row(row, alpha: float, phi: float, record, ok: bool) -> None:
-    row["alpha"] = alpha
-    row["phi"] = phi
-    row["w_ext"] = record.w_ext
-    row["q_m"] = record.q_m
-    row["q_t"] = record.q_t
-    row["eta"] = record.eta
-    row["ds"] = record.d_s
-    row["xi"] = record.probs.xi
-    row["zeta"] = record.probs.zeta
-    row["delta"] = record.probs.delta
-    row["gamma"] = record.probs.gamma
-    row["ok"] = ok
-
-
 def grid_sweep(grid: GridSpec, engine: CycleEngine | None = None) -> SweepTable:
     """Evaluate one cycle per grid node, row-major by (alpha index, phi index).
 
@@ -102,35 +73,9 @@ def grid_sweep(grid: GridSpec, engine: CycleEngine | None = None) -> SweepTable:
     """
     if engine is None:
         engine = CycleEngine(grid.base)
-    alphas = grid.alphas()
-    phis = grid.phis()
-    rows = np.zeros(grid.alpha_points * grid.phi_points, dtype=ROW_DTYPE)
-    flagged = 0
-    k = 0
-    for a in alphas:
-        for p in phis:
-            record, violations = engine.evaluate_flagged(a, p)
-            ok = not violations
-            flagged += not ok
-            _fill_row(rows[k], a, p, record, ok)
-            k += 1
-    return SweepTable(grid=grid, rows=rows, flagged=flagged)
-
-
-def _objective_value(objective: Objective, record) -> float:
-    if objective is Objective.MAX_W_EXT:
-        return record.w_ext
-    if objective is Objective.MAX_ETA:
-        return record.eta
-    return record.d_s
-
-
-def _better(objective: Objective, candidate: float, incumbent: float) -> bool:
-    if math.isnan(candidate):
-        return False
-    if objective is Objective.MIN_DS:
-        return candidate < incumbent
-    return candidate > incumbent
+    rows = engine.evaluate_nodes(np.repeat(grid.alphas(), grid.phi_points),
+                                 np.tile(grid.phis(), grid.alpha_points))
+    return SweepTable(grid=grid, rows=rows, flagged=int(np.count_nonzero(~rows["ok"])))
 
 
 def locate_extrema(
@@ -144,24 +89,26 @@ def locate_extrema(
 ) -> Extremum:
     """Best grid node, then nested local-grid refinement around the incumbent.
 
-    Each round lays a local_points^2 grid on a window that shrinks by
-    ``zoom`` per round; the incumbent is always re-sampled, so the objective
-    improves monotonically (asserted within tolerance).
+    Each round evaluates a local_points^2 grid, as one batch, on a window
+    that shrinks by ``zoom`` per round.  A node replaces the incumbent only
+    if it is strictly better, and among equal values the first in row-major
+    order wins, so the objective improves monotonically (asserted within
+    tolerance).  Flagged nodes never win.
     """
-    rows = table.rows
-    usable = rows["ok"]
-    if objective is Objective.MAX_ETA:
-        usable = usable & ~np.isnan(rows["eta"])
-        if not usable.any():
-            raise ConfigurationError("every row has undefined efficiency")
     col = {Objective.MAX_W_EXT: "w_ext", Objective.MAX_ETA: "eta",
            Objective.MIN_DS: "ds"}[objective]
-    values = np.where(usable, rows[col], np.nan)
-    idx = int(np.nanargmin(values) if objective is Objective.MIN_DS
-              else np.nanargmax(values))
-    best_a = float(rows["alpha"][idx])
-    best_p = float(rows["phi"][idx])
-    best_v = float(rows[col][idx])
+    sign = -1.0 if objective is Objective.MIN_DS else 1.0  # maximize sign * value
+
+    def best(rows: np.ndarray) -> int | None:
+        values = np.where(rows["ok"], sign * rows[col], np.nan)
+        return None if np.isnan(values).all() else int(np.nanargmax(values))
+
+    idx = best(table.rows)
+    if idx is None:
+        raise ConfigurationError(f"no unflagged row has a defined {col}")
+    best_a = float(table.rows["alpha"][idx])
+    best_p = float(table.rows["phi"][idx])
+    best_v = float(table.rows[col][idx])
 
     if engine is None:
         engine = CycleEngine(table.grid.base)
@@ -170,18 +117,13 @@ def locate_extrema(
     for _ in range(rounds):
         prev = best_v
         a_grid = np.linspace(max(0.0, best_a - h_a), min(math.pi, best_a + h_a), local_points)
-        p_grid = np.linspace(best_p - h_p, best_p + h_p, local_points)
-        for a in a_grid:
-            for p in p_grid:
-                record, violations = engine.evaluate_flagged(a, p % TWO_PI)
-                if violations:
-                    continue
-                v = _objective_value(objective, record)
-                if _better(objective, v, best_v):
-                    best_a, best_p, best_v = float(a), float(p % TWO_PI), float(v)
-        worse = (best_v < prev - tol.refinement if objective is not Objective.MIN_DS
-                 else best_v > prev + tol.refinement)
-        if worse:
+        p_grid = np.linspace(best_p - h_p, best_p + h_p, local_points) % TWO_PI
+        local = engine.evaluate_nodes(np.repeat(a_grid, local_points),
+                                      np.tile(p_grid, local_points))
+        k = best(local)
+        if k is not None and sign * local[col][k] > sign * best_v:
+            best_a, best_p, best_v = (float(local[name][k]) for name in ("alpha", "phi", col))
+        if sign * (prev - best_v) > tol.refinement:
             raise InvariantViolation(
                 "refinement regressed", {"refinement": abs(best_v - prev)}
             )
@@ -247,7 +189,7 @@ def slice_profile(
     points: int = 513,
     engine: CycleEngine | None = None,
 ) -> np.ndarray:
-    """Freshly evaluated 1-D profile with one angle pinned.
+    """Freshly evaluated 1-D profile with one angle pinned, as ROW_DTYPE rows.
 
     ``fixed`` is "alpha" or "phi"; the free angle runs over its full range on
     an endpoint-inclusive grid.
@@ -262,20 +204,4 @@ def slice_profile(
         engine = CycleEngine(base)
     free = (np.linspace(0.0, TWO_PI, points) if fixed == "alpha"
             else np.linspace(0.0, math.pi, points))
-    out = np.zeros(points, dtype=SLICE_DTYPE)
-    for k, x in enumerate(free):
-        a, p = (value, x) if fixed == "alpha" else (x, value)
-        record, _ = engine.evaluate_flagged(a, p)
-        row = out[k]
-        row["alpha"] = a
-        row["phi"] = p
-        row["w_ext"] = record.w_ext
-        row["q_m"] = record.q_m
-        row["eta"] = record.eta
-        row["ds"] = record.d_s
-        row["zeta"] = record.probs.zeta
-        row["delta"] = record.probs.delta
-        row["gamma"] = record.probs.gamma
-        row["dp3"] = record.dp3
-        row["dp4"] = record.dp4
-    return out
+    return engine.evaluate_nodes(*((value, free) if fixed == "alpha" else (free, value)))

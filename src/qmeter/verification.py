@@ -140,7 +140,9 @@ def cycle_identity_suites(
     The identities are exact for any unitary pair, so a moderate step count
     is enough; residuals do not depend on the integration error.
     """
-    first_law = kelvin = entropy = analytic = eta_forms = bounds = inequality = 0.0
+    first_law = entropy = analytic = eta_forms = 0.0
+    # signed worst values: these quantities are at most 0 when the check holds
+    kelvin = bounds = inequality = -math.inf
     for _ in range(samples):
         alpha, phi, omega_tau, beta = _sample_params(rng)
         engine = CycleEngine(EngineParams(

@@ -83,6 +83,21 @@ def bloch_cycle(u: np.ndarray, v: np.ndarray, alpha: float, phi: float,
     return {"w1": w1, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w1 + w2, "d_s": d_s}
 
 
+def pytest_configure(config):
+    """Property tests draw the same examples on every run and keep no
+    example database, so a test run is reproducible and leaves no files.
+
+    hypothesis is imported here rather than at module level because the
+    benchmark (perfbench/checks.py) loads this module for its oracles, and
+    the import would add its memory to the benchmark's processes.
+    """
+    from hypothesis import settings
+
+    settings.register_profile("qmeter", derandomize=True, database=None, deadline=None,
+                              max_examples=60)
+    settings.load_profile("qmeter")
+
+
 def default_params(alpha: float = 0.0, phi: float = 0.0, steps: int = 1024) -> EngineParams:
     return EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=1.0,
                         alpha=alpha, phi=phi, steps=steps)

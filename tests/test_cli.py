@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qmeter.cli import (
@@ -121,6 +122,29 @@ def test_sweep_at_infinite_temperature_zeroes_work(tmp_path, capsys):
     assert summary["max_eta"] is None  # undefined everywhere at beta = 0
 
 
+def test_sweep_with_every_row_flagged_reports_null_extrema(tmp_path, capsys, monkeypatch):
+    # a channel that purifies every state lowers the entropy at every node,
+    # so no row is usable for any objective
+    import qmeter.cycle
+    from qmeter import measurement
+
+    real_measure = measurement.measure
+    ground = np.outer([0, 1], [0, 1]).astype(complex)
+
+    def purifying_measure(rho, basis, tol=None, rehermitize=True):
+        post, probs = real_measure(rho, basis)
+        return 0.0 * post + ground, probs
+
+    monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
+    rc, _, err = run_cli([
+        "sweep", "--grid-alpha-points", "5", "--grid-phi-points", "5",
+        "--steps", "256", "--output", str(tmp_path)], capsys)
+    assert rc == 0, err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["flagged_rows"] == 25
+    assert all(summary[name] is None for name in ("max_w_ext", "max_eta", "min_ds"))
+
+
 def test_csv_round_trips_byte_identically(tmp_path, capsys):
     rc, _, _ = run_cli([
         "sweep", "--grid-alpha-points", "5", "--grid-phi-points", "5",
@@ -181,6 +205,10 @@ def test_verify_passes_with_trimmed_samples(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "seed=20201" in out
+    # checks of quantities that are at most 0 report their signed worst value
+    for suite in ("kelvin", "transition_inequality"):
+        line = next(line for line in out.splitlines() if f"] {suite}:" in line)
+        assert float(line.split("max residual ")[1].split()[0]) < 0.0
 
 
 def test_verify_passes_at_minimal_step_count(capsys):

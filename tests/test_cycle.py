@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 import qmeter.cycle
 from qmeter import (
+    DEFAULT_TOLERANCES,
     CycleEngine,
+    DriveSpec,
     EngineParams,
+    Segment,
     TransitionProbs,
     ValidationError,
     analytic_energetics,
@@ -14,6 +18,7 @@ from qmeter import (
     crosscheck,
     occupation_deltas,
     run_cycle,
+    time_ordered_propagator,
     transition_probabilities,
 )
 from qmeter.errors import InvariantViolation
@@ -263,6 +268,41 @@ def test_engine_params_validation():
         EngineParams(omega_tau=1.0, beta_hbar_omega=-0.5)
     with pytest.raises(ValidationError):
         EngineParams(omega_tau=1.0, beta_hbar_omega=1.0, steps=1)
+
+
+def test_numpy_integer_step_counts_are_accepted():
+    steps = np.int64(256)
+    record = run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0, alpha=1.0,
+                                    phi=2.0, steps=steps))
+    assert record.w_ext == run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0,
+                                                  alpha=1.0, phi=2.0, steps=256)).w_ext
+    assert time_ordered_propagator(DriveSpec(tau=0.3, segment=Segment.I), steps).steps == 256
+
+
+def test_eta_residual_at_small_fuel_node():
+    # the worst node of the efficiency_forms suite at seed 407: a fuel of
+    # 1.8e-5 leaves the trace-path eta = -w/q_m with an absolute roundoff of
+    # about eps*hbar_omega/q_m, which the residual scale has to include
+    engine = CycleEngine(EngineParams(omega_tau=0.015533815211530987,
+                                      beta_hbar_omega=2.1745346674786243, steps=256))
+    record, violations = engine.evaluate_flagged(1.5611804642839489, 1.4378889294306938)
+    assert not violations
+    assert 0.0 < record.q_m < 1e-4 and record.eta < -2e4
+    assert record.residuals["eta"] <= DEFAULT_TOLERANCES.eta_forms
+
+
+def test_eta_residual_catches_a_perturbed_efficiency(monkeypatch, default_engine):
+    # an error of 1e-9 in the closed-form eta at the extracted-work peak
+    # must still fail the efficiency check
+    real_analytic = qmeter.cycle.analytic_energetics
+
+    def perturbed(*args, **kwargs):
+        out = real_analytic(*args, **kwargs)
+        return dataclasses.replace(out, eta=out.eta + 1e-9)
+
+    monkeypatch.setattr(qmeter.cycle, "analytic_energetics", perturbed)
+    record, _ = default_engine.evaluate_flagged(0.39269908169872414, 3.1456116832540535)
+    assert record.residuals["eta"] > DEFAULT_TOLERANCES.eta_forms
 
 
 def test_invariant_violation_carries_residuals(monkeypatch):

@@ -1,0 +1,88 @@
+"""Property tests of the batched node kernel over the whole parameter domain.
+
+The stroke propagators are replaced by the exact rotating-frame solutions
+``closed_form_u``/``closed_form_v``, so the kernel's two paths can be held
+to the independent Bloch-vector oracle at ``Tolerances.analytic`` for any
+drive duration and temperature.  Batch sizes fall on both sides of the
+block constant, with drawn nodes placed at the block edges.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qmeter import DEFAULT_TOLERANCES as TOL
+from qmeter import CycleEngine, EngineParams
+from qmeter.cycle import NODE_BLOCK, ROW_DTYPE
+
+from conftest import bloch_cycle, closed_form_u, closed_form_v
+
+TWO_PI = 2.0 * math.pi
+
+alphas = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+# across the wrap of phi: both ends of [0, 2*pi] and a little beyond them
+phis = st.one_of(st.sampled_from([0.0, TWO_PI]), st.floats(0.0, TWO_PI),
+                 st.floats(-1e-3, 1e-3), st.floats(TWO_PI - 1e-3, TWO_PI + 1e-3))
+engines = st.tuples(st.floats(1e-3, 1e4), st.floats(0.0, 1e3))
+sizes = st.sampled_from([1, 2, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, 2 * NODE_BLOCK + 3])
+
+
+@st.composite
+def node_batches(draw):
+    """(alphas, phis, checked): seeded uniform nodes with drawn edge nodes at
+    the first, last and block-boundary positions, which are the ones checked."""
+    size = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(0.0, math.pi, size)
+    p = rng.uniform(0.0, TWO_PI, size)
+    checked = sorted({0, size - 1, min(NODE_BLOCK, size) - 1, min(NODE_BLOCK, size - 1)})
+    for k in checked:
+        a[k] = draw(alphas)
+        p[k] = draw(phis)
+    return a, p, checked
+
+
+def oracle_engine(omega_tau, beta):
+    u, v = closed_form_u(omega_tau), closed_form_v(omega_tau)
+    return CycleEngine(EngineParams(omega_tau=omega_tau, beta_hbar_omega=beta),
+                       u_override=u, v_override=v)
+
+
+@given(engines, node_batches())
+def test_evaluate_nodes_agrees_with_bloch_oracle(engine_params, batch):
+    omega_tau, beta = engine_params
+    a, p, checked = batch
+    engine = oracle_engine(omega_tau, beta)
+    rows = engine.evaluate_nodes(a, p)
+    assert rows.shape == a.shape
+    assert rows["ok"].all()
+    for k in checked:
+        o = bloch_cycle(engine.u, engine.v, a[k], p[k], beta)
+        row = rows[k]
+        assert abs(row["w_ext"] + o["w"]) <= TOL.analytic
+        assert abs(row["q_m"] - o["q_m"]) <= TOL.analytic
+        assert abs(row["q_t"] - o["q_t"]) <= TOL.analytic
+        assert abs(row["ds"] - o["d_s"]) <= TOL.analytic
+        if row["q_m"] > TOL.fuel:
+            # cross-multiplied, which stays conditioned where the fuel is small
+            assert abs(row["eta"] * o["q_m"] + o["w"]) <= TOL.analytic * max(1.0, abs(row["eta"]))
+        else:
+            assert math.isnan(row["eta"])
+
+
+@given(engines, node_batches())
+def test_batch_of_one_matches_the_batch(engine_params, batch):
+    omega_tau, beta = engine_params
+    a, p, checked = batch
+    engine = oracle_engine(omega_tau, beta)
+    rows = engine.evaluate_nodes(a, p)
+    for k in checked:
+        record, violations = engine.evaluate_flagged(a[k], p[k])
+        assert record.row["ok"][0] == rows["ok"][k] == (not violations)
+        for name in ROW_DTYPE.names[:-1]:
+            one, many = record.row[name][0], rows[name][k]
+            assert (math.isnan(one) and math.isnan(many)) or abs(one - many) <= 1e-15 * max(
+                1.0, abs(many)), name
+        assert record.w_ext == rows["w_ext"][k] and record.d_s == rows["ds"][k]
