@@ -36,6 +36,7 @@ from .qubit_algebra import (
     gibbs_state,
     require_density_matrix,
     require_unitary,
+    trace_2x2,
     von_neumann_entropy,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -95,9 +96,8 @@ class TransitionProbs:
     def __post_init__(self):
         tol = DEFAULT_TOLERANCES.probability
         p = np.array([self.xi, self.zeta, self.delta, self.gamma], dtype=float)
-        inside = (-tol <= p) & (p <= 1.0 + tol)
-        if not inside.all():
-            where = tuple(np.argwhere(~inside)[0])
+        if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # NaN fails both
+            where = tuple(np.argwhere(~((-tol <= p) & (p <= 1.0 + tol)))[0])
             name = ("xi", "zeta", "delta", "gamma")[where[0]]
             raise ValidationError(f"{name}={float(p[where])!r} outside [0, 1]")
 
@@ -173,7 +173,7 @@ def _apply(m: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def _ratio(num, den, defined):
     """num/den where ``defined``, NaN elsewhere (and no division there)."""
-    return np.where(defined, num / np.where(defined, den, 1.0), np.nan)
+    return np.divide(num, den, out=np.full_like(den, np.nan, dtype=float), where=defined)
 
 
 def transition_probabilities(
@@ -315,14 +315,12 @@ class CycleEngine:
                                  tol.unitary_input)
         self.v_dag = self.v.conj().T
         self.targets = _targets(self.u)
-        # rho3 is measured in h2 and rho4 in h1
-        self.h_34 = np.array([self.h2, self.h1])[:, None]
         self.rho1 = gibbs_state(self.h1, params.beta_hbar_omega / hw)
         self.rho2 = self.u @ self.rho1 @ self.u.conj().T
         require_density_matrix(self.rho2, "rho2", tol)
         self.s1, self.s2 = von_neumann_entropy(np.array([self.rho1, self.rho2]), tol).tolist()
-        self.e1 = float(np.trace(self.rho1 @ self.h1).real)
-        self.e2 = float(np.trace(self.rho2 @ self.h2).real)
+        self.e1 = float(trace_2x2(self.rho1 @ self.h1).real)
+        self.e2 = float(trace_2x2(self.rho2 @ self.h2).real)
 
     def evaluate(self, alpha: float, phi: float) -> CycleRecord:
         """Evaluate one node; raises InvariantViolation on any failed invariant."""
@@ -336,26 +334,22 @@ class CycleEngine:
     def evaluate_flagged(self, alpha: float, phi: float) -> tuple[CycleRecord, dict[str, float]]:
         """Like evaluate, but returns (record, violations) instead of raising.
 
-        A batch of one through the same kernel as ``evaluate_nodes``.
+        A batch of one through the same kernel as ``evaluate_nodes``, with
+        no node axis, so the per-node arithmetic runs on numpy scalars.
         """
         row = np.empty(1, dtype=ROW_DTYPE)
-        n = self._evaluate_block(np.array([alpha], dtype=float),
-                                 np.array([phi], dtype=float), row)
-        violations = {name: float(value[0]) for name, (value, bound) in n["checks"].items()
-                      if value[0] > bound}
-        probs, analytic = n["probs"], n["analytic"]
-        dp = (analytic.dp[0], *(float(x[0]) for x in analytic.dp[1:]))
+        n = self._evaluate_block(alpha, phi, row)
+        violations = {name: float(value) for name, (value, bound) in n["checks"].items()
+                      if value > bound}
+        dp1, dp2, dp3, dp4 = n["analytic"].dp
         record = CycleRecord(
             params=self.params, alpha=alpha, phi=phi, row=row,
-            rho1=self.rho1, rho2=self.rho2, rho3=n["rho3"][0], rho4=n["rho4"][0],
+            rho1=self.rho1, rho2=self.rho2, rho3=n["rho3"], rho4=n["rho4"],
             w1=self.e2 - self.e1, s1=self.s1, s2=self.s2,
-            **{k: float(n[k][0]) for k in ("w2", "q_m", "q_t", "w", "eta", "s3", "s4", "d_s")},
-            dp1=dp[0], dp2=dp[1], dp3=dp[2], dp4=dp[3],
-            probs=TransitionProbs(*(float(x[0]) for x in (
-                probs.xi, probs.zeta, probs.delta, probs.gamma))),
-            analytic=AnalyticEnergetics(*(float(x[0]) for x in (
-                analytic.w, analytic.q_m, analytic.q_t, analytic.eta)), dp),
-            residuals={k: float(v[0]) for k, v in n["residuals"].items()},
+            **{k: float(n[k]) for k in ("w2", "q_m", "q_t", "w", "eta", "s3", "s4", "d_s")},
+            dp1=dp1, dp2=float(dp2), dp3=float(dp3), dp4=float(dp4),
+            probs=n["probs"], analytic=n["analytic"],
+            residuals={k: float(v) for k, v in n["residuals"].items()},
         )
         return record, violations
 
@@ -375,10 +369,11 @@ class CycleEngine:
             self._evaluate_block(alphas[block], phis[block], rows[block])
         return rows
 
-    def _evaluate_block(self, alphas: np.ndarray, phis: np.ndarray, out: np.ndarray) -> dict:
-        """Both energetics paths for a 1-D block of nodes, written into ``out``.
+    def _evaluate_block(self, alphas, phis, out: np.ndarray) -> dict:
+        """Both energetics paths for a block of nodes, written into ``out``.
 
-        Returns the per-node intermediates as arrays, including ``checks``:
+        ``alphas`` and ``phis`` are 1-D arrays, or scalars for a single
+        node.  Returns the per-node intermediates, including ``checks``:
         for each flagged invariant its value and the bound it must not
         exceed.  Checks outside that set raise, as they do for one node.
         """
@@ -389,9 +384,9 @@ class CycleEngine:
         # trace path, on (M, 2, 2) density-matrix stacks
         rho3, _ = measure(self.rho2, basis, tol)
         rho4 = self.v @ rho3 @ self.v_dag
-        states = np.array([rho3, rho4])
-        s3, s4 = von_neumann_entropy(states, tol, "rho3, rho4")
-        e3, e4 = np.trace(states @ self.h_34, axis1=-2, axis2=-1).real
+        s3, s4 = von_neumann_entropy(np.array([rho3, rho4]), tol, "rho3, rho4")
+        e3 = trace_2x2(rho3 @ self.h2).real
+        e4 = trace_2x2(rho4 @ self.h1).real
         w1 = self.e2 - self.e1
         q_m = e3 - self.e2
         w2 = e4 - e3
@@ -417,7 +412,7 @@ class CycleEngine:
             "q_m": np.abs(q_m - analytic.q_m),
             "q_t": np.abs(q_t - analytic.q_t),
             "eta": np.fmax(eta_res, 0.0),
-            "entropy_12": np.full(q_m.shape, abs(self.s1 - self.s2)),
+            "entropy_12": abs(self.s1 - self.s2),  # the same for every node
             "entropy_34": np.abs(s3 - s4),
             "entropy_thermalization": np.abs((self.s1 - s4) + d_s),
         }
@@ -433,7 +428,8 @@ class CycleEngine:
         out["eta"], out["ds"], out["dp3"], out["dp4"] = eta, d_s, dp[2], dp[3]
         for name in ("xi", "zeta", "delta", "gamma"):
             out[name] = getattr(probs, name)
-        out["ok"] = ~functools.reduce(np.logical_or, (v > b for v, b in checks.values()))
+        out["ok"] = np.logical_not(
+            functools.reduce(np.logical_or, (v > b for v, b in checks.values())))
         return {"rho3": rho3, "rho4": rho4, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w,
                 "eta": eta, "s3": s3, "s4": s4, "d_s": d_s, "probs": probs,
                 "analytic": analytic, "residuals": residuals, "checks": checks}

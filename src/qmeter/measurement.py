@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .qubit_algebra import IDENTITY, require_density_matrix
+from .qubit_algebra import IDENTITY, require_density_matrix, trace_2x2
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 TWO_PI = 2.0 * math.pi
@@ -59,8 +59,10 @@ def _overlap(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def _reduce_angles(alpha, phi):
-    alpha = np.asarray(alpha, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    # [()] turns a single angle into a numpy scalar, whose arithmetic is
+    # several times cheaper than that of a 0-d array
+    alpha = np.asarray(alpha, dtype=float)[()]
+    phi = np.asarray(phi, dtype=float)[()]
     if not (np.isfinite(alpha).all() and np.isfinite(phi).all()):
         raise ValidationError("alpha and phi must be finite")
     alpha = alpha % TWO_PI
@@ -69,7 +71,7 @@ def _reduce_angles(alpha, phi):
     # the default rel_tol=1e-9 of isclose always exceeds abs_tol
     if (alpha - math.pi > 1e-9 * alpha).any():
         raise ValidationError(f"alpha reduces to {float(alpha.max())!r}, outside [0, pi]")
-    return np.minimum(alpha, math.pi)[()], phi[()]
+    return np.minimum(alpha, math.pi), phi
 
 
 def basis_kets(alpha, phi, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
@@ -112,7 +114,7 @@ def measure(
     post = post[0] + post[1]
     if rehermitize:
         post = 0.5 * (post + post.conj().swapaxes(-1, -2))
-    p1, p2 = np.trace(proj_rho, axis1=-2, axis2=-1).real
+    p1, p2 = trace_2x2(proj_rho).real
     deviation = np.abs(p1 + p2 - 1.0).max()
     if deviation > tol.probability:
         raise ValidationError(f"probabilities miss a sum of 1 by {deviation:.3e}")

@@ -61,6 +61,11 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def trace_2x2(m: np.ndarray):
+    """Tr(m) of a 2x2 matrix, or of each matrix of a stack."""
+    return m[..., 0, 0] + m[..., 1, 1]
+
+
 def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
     return np.abs(m - _dagger(m)).max(axis=(-2, -1))
 
@@ -92,7 +97,7 @@ def eigvals_hermitian(h: np.ndarray, name: str = "matrix"):
 
 
 def _eigvals(h: np.ndarray):
-    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    a = 0.5 * trace_2x2(h).real
     b = np.hypot(np.abs(h[..., 0, 1]), 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
     return a - b, a + b
 
@@ -148,13 +153,14 @@ def require_density_matrix(rho: np.ndarray, name: str = "rho",
     """Raise unless rho, or every matrix of a stack, is Hermitian with unit
     trace and no negative eigenvalue."""
     rho = _as_stack(rho, name)
-    herm = np.abs(rho - _dagger(rho)).max()
+    rho_dag = _dagger(rho)
+    herm = np.abs(rho - rho_dag).max()
     if herm > tol.hermiticity:
         raise ValidationError(f"{name}: Hermiticity residual {herm:.3e}")
-    trace = np.abs(rho[..., 0, 0] + rho[..., 1, 1] - 1.0).max()
+    trace = np.abs(trace_2x2(rho) - 1.0).max()
     if trace > tol.trace:
         raise ValidationError(f"{name}: trace deviates from 1 by {trace:.3e}")
-    lo = _eigvals(0.5 * (rho + _dagger(rho)))[0].min()
+    lo = _eigvals(0.5 * (rho + rho_dag))[0].min()
     if lo < -tol.eig_floor:
         raise ValidationError(f"{name}: negative eigenvalue {lo:.3e}")
     return rho
@@ -170,7 +176,7 @@ def entropy_from_eigenvalues(lo, hi, tol: Tolerances = DEFAULT_TOLERANCES):
     if lam.min() < -tol.eig_floor:
         raise ValidationError(f"eigenvalue {lam.min():.3e} below clamp window")
     lam = lam.clip(0.0, 1.0)
-    terms = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+    terms = lam * np.log(lam + (lam == 0.0))  # 0 log 0 = 0
     s = (0.0 - terms[0]) - terms[1]
     if s.min() < 0.0 or s.max() > math.log(2.0) + tol.eig_floor:
         raise ValidationError(f"entropy {float(s.max())!r} outside [0, ln 2]")
