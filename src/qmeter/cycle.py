@@ -12,7 +12,9 @@ the sign fixed empirically against the trace path.
 
 ``CycleEngine.evaluate_nodes`` evaluates both paths for a whole array of
 measurement angles at once, on (M, 2, 2) density-matrix stacks and (M,)
-probability arrays; a single node is a batch of one.
+probability arrays; a single node is a batch of one.  ``evaluate_samples``
+runs the same kernel on engine state with a leading sample axis, one drive
+duration, temperature and node per sample.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .measurement import MeasurementBasis, basis_kets, measure
-from .propagator import DriveSpec, Segment, time_ordered_propagator
+# time_ordered_propagator is not called here, but perfbench/tracer.py
+# patches it in this namespace
+from .propagator import drive_propagators, time_ordered_propagator  # noqa: F401
 from .qubit_algebra import (
     KET_DOWN,
     KET_PLUS_X,
@@ -36,6 +40,7 @@ from .qubit_algebra import (
     gibbs_state,
     require_density_matrix,
     require_unitary,
+    tanh,
     trace_2x2,
     von_neumann_entropy,
 )
@@ -70,15 +75,21 @@ class EngineParams:
     hbar_omega: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_tau) and self.omega_tau > 0.0):
-            raise ValidationError("omega_tau must be finite and > 0")
-        # beta = 0 (infinite temperature) is a legitimate degenerate input
-        if not (math.isfinite(self.beta_hbar_omega) and self.beta_hbar_omega >= 0.0):
-            raise ValidationError("beta_hbar_omega must be finite and >= 0")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
-            raise ValidationError("steps must be an integer >= 2")
-        if not (math.isfinite(self.hbar_omega) and self.hbar_omega > 0.0):
-            raise ValidationError("hbar_omega must be finite and > 0")
+        _check_engine_inputs(self.omega_tau, self.beta_hbar_omega, self.steps, self.hbar_omega)
+
+
+def _check_engine_inputs(omega_tau, beta_hbar_omega, steps, hbar_omega=1.0) -> None:
+    """The rules of EngineParams; omega_tau and beta_hbar_omega may also be
+    arrays with one value per sample."""
+    if not np.all(np.isfinite(omega_tau) & (np.asarray(omega_tau) > 0.0)):
+        raise ValidationError("omega_tau must be finite and > 0")
+    # beta = 0 (infinite temperature) is a legitimate degenerate input
+    if not np.all(np.isfinite(beta_hbar_omega) & (np.asarray(beta_hbar_omega) >= 0.0)):
+        raise ValidationError("beta_hbar_omega must be finite and >= 0")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValidationError("steps must be an integer >= 2")
+    if not (math.isfinite(hbar_omega) and hbar_omega > 0.0):
+        raise ValidationError("hbar_omega must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -157,10 +168,22 @@ class CrosscheckReport:
     max_residual: float
 
 
+@dataclass(frozen=True)
+class SampleBatch:
+    """What ``evaluate_samples`` returns, one entry per sample.
+
+    ``residuals`` has the keys of ``CycleRecord.residuals``; ``checks`` maps
+    each flagged invariant to its values and the bound they must not exceed.
+    """
+
+    rows: np.ndarray = field(repr=False)  # ROW_DTYPE
+    residuals: dict[str, np.ndarray] = field(repr=False)
+    checks: dict[str, tuple[np.ndarray, float]] = field(repr=False)
+
+
 @functools.lru_cache(maxsize=32)
 def _propagator_pair(omega_tau: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    u = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.I), steps).u
-    v = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.II), steps).u
+    u, v = drive_propagators(np.array([omega_tau]), steps)[0]
     u.setflags(write=False)
     v.setflags(write=False)
     return u, v
@@ -198,8 +221,12 @@ def transition_probabilities(
 
 
 def _targets(u: np.ndarray) -> np.ndarray:
-    """The kets u|down> and |-x> as the columns of a matrix."""
-    return np.stack([u @ KET_DOWN, KET_MINUS_X], axis=-1)
+    """The kets u|down> and |-x> as the columns of a matrix, one per matrix
+    of a stack u."""
+    targets = np.empty(u.shape, dtype=complex)
+    targets[..., 0] = u @ KET_DOWN
+    targets[..., 1] = KET_MINUS_X
+    return targets
 
 
 def _overlap_probabilities(targets: np.ndarray, v: np.ndarray, basis: MeasurementBasis,
@@ -209,13 +236,15 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray, basis: Measuremen
     # |<chi_k|t>|^2 for k = 1, 2 (first axis) and t = u|down>, |-x> (last
     # axis), as one small product per node: a single (M, 2) @ (2, 2) product
     # would round differently with M
-    to_basis = np.abs(_apply(targets.T, basis.kets.conj())) ** 2
+    to_basis = np.abs(_apply(targets.swapaxes(-1, -2), basis.kets.conj())) ** 2
     zeta, delta = to_basis[1, ..., 0], to_basis[1, ..., 1]
-    xi, xi_rest = np.abs(_X_BRAS @ targets[:, 0]) ** 2
+    onto_x = np.abs(_apply(_X_BRAS, targets[..., 0])) ** 2
+    xi, xi_rest = onto_x[..., 0], onto_x[..., 1]
     v_chi1 = np.abs(_apply(v, basis.chi1)) ** 2  # onto |up>, |down>
     gamma = v_chi1[..., 0]
     # completeness against the complementary amplitudes
-    worst = max(np.abs(to_basis[0] + to_basis[1] - 1.0).max(), abs(xi + xi_rest - 1.0),
+    worst = max(np.abs(to_basis[0] + to_basis[1] - 1.0).max(),
+                np.abs(xi + xi_rest - 1.0).max(),
                 np.abs(v_chi1[..., 0] + v_chi1[..., 1] - 1.0).max())
     if worst > tol.probability:
         raise ValidationError(f"transition probabilities not complete (residual {worst:.3e})")
@@ -225,7 +254,7 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray, basis: Measuremen
 
 def occupation_deltas(probs: TransitionProbs, beta_hbar_omega: float):
     """Ground-minus-excited occupation differences after each stroke."""
-    dp1 = math.tanh(0.5 * beta_hbar_omega)
+    dp1 = tanh(0.5 * beta_hbar_omega)
     dp2 = dp1 * (1.0 - 2.0 * probs.xi)
     dp3 = dp1 * (1.0 - 2.0 * probs.delta) * (1.0 - 2.0 * probs.zeta)
     dp4 = dp1 * (1.0 - 2.0 * probs.gamma) * (1.0 - 2.0 * probs.zeta)
@@ -303,24 +332,40 @@ class CycleEngine:
         v_override: np.ndarray | None = None,
     ):
         self.params = params
-        self.tol = tol
-        hw = params.hbar_omega
-        self.h1 = 0.5 * hw * SIGMA_Z
-        self.h2 = 0.5 * hw * SIGMA_X
         if u_override is None or v_override is None:
             u, v = _propagator_pair(params.omega_tau, params.steps)
-        self.u = require_unitary(u if u_override is None else u_override, "u",
-                                 tol.unitary_input)
-        self.v = require_unitary(v if v_override is None else v_override, "v",
-                                 tol.unitary_input)
-        self.v_dag = self.v.conj().T
+        self._prepare(u if u_override is None else u_override,
+                      v if v_override is None else v_override,
+                      params.beta_hbar_omega, params.hbar_omega, tol)
+
+    @classmethod
+    def _for_samples(cls, u: np.ndarray, v: np.ndarray, betas: np.ndarray) -> "CycleEngine":
+        """An engine whose state has a leading sample axis: sample k has the
+        propagators u[k], v[k] and inverse temperature betas[k] at a unit
+        gap, and the kernel evaluates node k of a block with one node per
+        sample."""
+        engine = cls.__new__(cls)
+        engine.params = None
+        engine._prepare(u, v, betas, 1.0, DEFAULT_TOLERANCES)
+        return engine
+
+    def _prepare(self, u, v, beta, hbar_omega: float, tol: Tolerances) -> None:
+        """Build and check everything that does not depend on the node."""
+        self.tol = tol
+        self.beta = beta
+        self.hbar_omega = hw = hbar_omega
+        self.h1 = 0.5 * hw * SIGMA_Z
+        self.h2 = 0.5 * hw * SIGMA_X
+        self.u = require_unitary(u, "u", tol.unitary_input)
+        self.v = require_unitary(v, "v", tol.unitary_input)
+        self.v_dag = self.v.conj().swapaxes(-1, -2)
         self.targets = _targets(self.u)
-        self.rho1 = gibbs_state(self.h1, params.beta_hbar_omega / hw)
-        self.rho2 = self.u @ self.rho1 @ self.u.conj().T
+        self.rho1 = gibbs_state(self.h1, beta / hw)
+        self.rho2 = self.u @ self.rho1 @ self.u.conj().swapaxes(-1, -2)
         require_density_matrix(self.rho2, "rho2", tol)
-        self.s1, self.s2 = von_neumann_entropy(np.array([self.rho1, self.rho2]), tol).tolist()
-        self.e1 = float(trace_2x2(self.rho1 @ self.h1).real)
-        self.e2 = float(trace_2x2(self.rho2 @ self.h2).real)
+        self.s1, self.s2 = von_neumann_entropy(np.stack([self.rho1, self.rho2]), tol)
+        self.e1 = trace_2x2(self.rho1 @ self.h1).real
+        self.e2 = trace_2x2(self.rho2 @ self.h2).real
 
     def evaluate(self, alpha: float, phi: float) -> CycleRecord:
         """Evaluate one node; raises InvariantViolation on any failed invariant."""
@@ -377,8 +422,7 @@ class CycleEngine:
         for each flagged invariant its value and the bound it must not
         exceed.  Checks outside that set raise, as they do for one node.
         """
-        p, tol = self.params, self.tol
-        hw = p.hbar_omega
+        tol, hw = self.tol, self.hbar_omega
         basis = basis_kets(alphas, phis, tol)
 
         # trace path, on (M, 2, 2) density-matrix stacks
@@ -398,7 +442,7 @@ class CycleEngine:
 
         # closed-form path, from the transition probabilities alone
         probs = _overlap_probabilities(self.targets, self.v, basis, tol)
-        analytic = analytic_energetics(probs, p.beta_hbar_omega, hw, tol)
+        analytic = analytic_energetics(probs, self.beta, hw, tol)
         dp = analytic.dp
 
         # the eta residual is scaled like the forms check, plus the
@@ -412,7 +456,7 @@ class CycleEngine:
             "q_m": np.abs(q_m - analytic.q_m),
             "q_t": np.abs(q_t - analytic.q_t),
             "eta": np.fmax(eta_res, 0.0),
-            "entropy_12": abs(self.s1 - self.s2),  # the same for every node
+            "entropy_12": abs(self.s1 - self.s2),  # the same for every node of an engine
             "entropy_34": np.abs(s3 - s4),
             "entropy_thermalization": np.abs((self.s1 - s4) + d_s),
         }
@@ -433,6 +477,37 @@ class CycleEngine:
         return {"rho3": rho3, "rho4": rho4, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w,
                 "eta": eta, "s3": s3, "s4": s4, "d_s": d_s, "probs": probs,
                 "analytic": analytic, "residuals": residuals, "checks": checks}
+
+
+def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch:
+    """Evaluate one cycle per sample k: drive duration omega_taus[k], inverse
+    temperature betas[k] (as beta*hbar_omega) and node (alphas[k], phis[k]),
+    with energies in units of hbar_omega.
+
+    The four arrays broadcast against each other.  They are checked once
+    here by the rules of ``EngineParams``.  Sample k gives the same row and
+    residuals as ``CycleEngine(EngineParams(omega_taus[k], betas[k],
+    steps=steps)).evaluate_flagged(alphas[k], phis[k])``: the propagator
+    pairs come from one stacked build and the engine state carries a sample
+    axis through the same kernel, ``NODE_BLOCK`` samples at a time.
+    """
+    omega_taus, betas, alphas, phis = (np.ravel(x) for x in np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (omega_taus, betas, alphas, phis))))
+    if omega_taus.size == 0:
+        raise ValidationError("evaluate_samples needs at least one sample")
+    _check_engine_inputs(omega_taus, betas, steps)
+    rows = np.empty(omega_taus.size, dtype=ROW_DTYPE)
+    blocks = []
+    for start in range(0, omega_taus.size, NODE_BLOCK):
+        block = slice(start, start + NODE_BLOCK)
+        pairs = drive_propagators(omega_taus[block], steps)
+        engine = CycleEngine._for_samples(pairs[:, 0], pairs[:, 1], betas[block])
+        blocks.append(engine._evaluate_block(alphas[block], phis[block], rows[block]))
+    residuals = {name: np.concatenate([b["residuals"][name] for b in blocks])
+                 for name in blocks[0]["residuals"]}
+    checks = {name: (np.concatenate([b["checks"][name][0] for b in blocks]), bound)
+              for name, (_, bound) in blocks[0]["checks"].items()}
+    return SampleBatch(rows=rows, residuals=residuals, checks=checks)
 
 
 def run_cycle(params: EngineParams, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleRecord:

@@ -31,6 +31,10 @@ from .qubit_algebra import (
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
+# Step factors per chunk of a batched build: 32 durations x 2 segments x 256
+# steps, 1 MiB of 2x2 complex factors.  A longer build runs one duration at
+# a time.
+FACTOR_BLOCK = 16384
 
 
 class Segment(enum.Enum):
@@ -72,9 +76,17 @@ def drive_axis_angle(spec: DriveSpec, t: float) -> float:
         raise ValidationError(
             f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]"
         )
-    if spec.segment is Segment.I:
-        return math.pi * t / (2.0 * spec.tau)
-    return math.pi * (2.0 * spec.tau - t) / (2.0 * spec.tau)
+    return _axis_angle(spec.segment, spec.tau, t)
+
+
+def _axis_angle(segment: Segment, tau, t):
+    """The drive angle: 0 -> pi/2 over segment I, pi/2 -> 0 over segment II.
+
+    ``tau`` and ``t`` may be arrays that broadcast against each other.
+    """
+    if segment is Segment.I:
+        return np.pi * t / (2.0 * tau)
+    return np.pi * (2.0 * tau - t) / (2.0 * tau)
 
 
 def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
@@ -87,44 +99,67 @@ def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
     return 0.5 * spec.hbar_omega * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
 
 
-def _drive_step_factors(spec: DriveSpec, steps: int) -> np.ndarray:
-    """Exact midpoint exponentials exp(-i H(t_mid) dt / hbar_omega), vectorized."""
-    lo, _ = spec.time_window()
-    dt = spec.tau / steps
-    mids = lo + (np.arange(steps) + 0.5) * dt
-    if spec.segment is Segment.I:
-        theta = np.pi * mids / (2.0 * spec.tau)
-    else:
-        theta = np.pi * (2.0 * spec.tau - mids) / (2.0 * spec.tau)
-    # rotation by angle dt about the unit axis (sin theta, 0, cos theta)
-    c = math.cos(0.5 * dt)
-    s = math.sin(0.5 * dt)
-    f = np.empty((steps, 2, 2), dtype=complex)
-    f[:, 0, 0] = c - 1j * s * np.cos(theta)
-    f[:, 0, 1] = -1j * s * np.sin(theta)
-    f[:, 1, 0] = -1j * s * np.sin(theta)
-    f[:, 1, 1] = c + 1j * s * np.cos(theta)
+def _drive_step_factors(taus: np.ndarray, segments: Sequence[Segment],
+                        steps: int) -> np.ndarray:
+    """Exact midpoint exponentials exp(-i H(t_mid) dt / hbar_omega), vectorized.
+
+    One stack of ``steps`` factors per drive duration in ``taus`` and per
+    segment: the shape is (len(taus), len(segments), steps, 2, 2).
+    """
+    tau = taus[:, None]
+    dt = tau / steps
+    # rotation by angle dt about the unit axis (sin theta, 0, cos theta);
+    # math.cos/math.sin, as in a build of one, because np.cos/np.sin round
+    # differently on some inputs
+    c = np.array([[math.cos(0.5 * x)] for x in dt[:, 0].tolist()])
+    s = np.array([[math.sin(0.5 * x)] for x in dt[:, 0].tolist()])
+    f = np.empty((len(taus), len(segments), steps, 2, 2), dtype=complex)
+    for k, segment in enumerate(segments):
+        lo = 0.0 if segment is Segment.I else tau
+        theta = _axis_angle(segment, tau, lo + (np.arange(steps) + 0.5) * dt)
+        f[:, k, :, 0, 0] = c - 1j * s * np.cos(theta)
+        f[:, k, :, 0, 1] = -1j * s * np.sin(theta)
+        f[:, k, :, 1, 0] = -1j * s * np.sin(theta)
+        f[:, k, :, 1, 1] = c + 1j * s * np.cos(theta)
     return f
 
 
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    """Product factors[-1] @ ... @ factors[0] by pairwise tree reduction.
+    """Product factors[-1] @ ... @ factors[0] along the step axis (third
+    from last) by pairwise tree reduction; any leading axes are a batch.
 
     Each reduction level is re-projected onto the unitary manifold with one
     Newton-Schulz polar step; plain accumulation drifts off unitarity
     linearly in the factor count (about N*eps), the projected product stays
     at the eps*log(N) level without affecting the integration error.
     """
-    n = factors.shape[0]
+    n = factors.shape[-3]
     size = 1 << (n - 1).bit_length()
     if size != n:
-        pad = np.broadcast_to(IDENTITY, (size - n, 2, 2))
-        factors = np.concatenate([factors, pad])
-    while factors.shape[0] > 1:
-        factors = factors[1::2] @ factors[0::2]
-        gram = factors.conj().transpose(0, 2, 1) @ factors
+        pad = np.broadcast_to(IDENTITY, factors.shape[:-3] + (size - n, 2, 2))
+        factors = np.concatenate([factors, pad], axis=-3)
+    while factors.shape[-3] > 1:
+        factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
+        gram = factors.conj().swapaxes(-1, -2) @ factors
         factors = 0.5 * (3.0 * factors - factors @ gram)
-    return factors[0]
+    return factors[..., 0, :, :]
+
+
+def drive_propagators(taus: np.ndarray, steps: int,
+                      segments: Sequence[Segment] = (Segment.I, Segment.II)) -> np.ndarray:
+    """Midpoint-product propagators for each drive duration in ``taus`` and
+    each segment, shape (len(taus), len(segments), 2, 2).
+
+    ``taus`` is a 1-D array of finite durations > 0, checked by the caller.
+    The factors are built and reduced ``FACTOR_BLOCK`` at a time, so scratch
+    memory does not grow with the number of durations.
+    """
+    out = np.empty((len(taus), len(segments), 2, 2), dtype=complex)
+    chunk = max(1, FACTOR_BLOCK // (len(segments) * steps))
+    for start in range(0, len(taus), chunk):
+        block = slice(start, start + chunk)
+        out[block] = _ordered_product(_drive_step_factors(taus[block], segments, steps))
+    return out
 
 
 def time_ordered_propagator(
@@ -140,14 +175,14 @@ def time_ordered_propagator(
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ConfigurationError("steps must be an integer >= 2")
     if hamiltonian is None:
-        factors = _drive_step_factors(spec, steps)
+        u = drive_propagators(np.array([spec.tau]), steps, (spec.segment,))[0, 0]
     else:
         lo, _ = spec.time_window()
         dt = spec.tau / steps
         factors = np.empty((steps, 2, 2), dtype=complex)
         for j in range(steps):
             factors[j] = hermitian_expm(hamiltonian(lo + (j + 0.5) * dt), dt)
-    u = _ordered_product(factors)
+        u = _ordered_product(factors)
     return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
 
 

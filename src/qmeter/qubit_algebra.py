@@ -6,8 +6,9 @@ internal units: energies in multiples of hbar*omega, times as the
 dimensionless phase omega*t, so hbar never appears in the formulas.
 
 All functions are pure; returned arrays are fresh copies.  The
-density-matrix checks, eigenvalues and entropies also accept a stack of
-matrices with shape (..., 2, 2) and then return one value per matrix.
+density-matrix and unitarity checks, eigenvalues and entropies also accept a
+stack of matrices with shape (..., 2, 2) and then return one value per
+matrix; ``gibbs_state`` takes an array of inverse temperatures.
 """
 
 from __future__ import annotations
@@ -120,30 +121,46 @@ def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
+    """Entrywise deviation of u^dag u from the identity; the largest over a stack."""
     u = np.asarray(u, dtype=complex)
     return float(np.abs(_dagger(u) @ u - IDENTITY).max())
 
 
 def require_unitary(u: np.ndarray, name: str = "U",
                     tol: float = DEFAULT_TOLERANCES.unitary_input) -> np.ndarray:
-    u = _as_matrix(u, name)
+    """Raise unless u, or every matrix of a stack, is unitary within tol."""
+    u = _as_stack(u, name)
     res = unitarity_residual(u)
     if res > tol:
         raise ValidationError(f"{name} is not unitary (residual {res:.3e} > {tol:.1e})")
     return u
 
 
-def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
+def tanh(x):
+    """``math.tanh`` elementwise over a float or an array of floats.
+
+    np.tanh rounds differently on about a quarter of inputs; this keeps the
+    thermal states and occupations of an engine the same to the last bit
+    whether it is built alone or as one sample of a batch.
+    """
+    if np.ndim(x) == 0:
+        return math.tanh(x)
+    return np.array([math.tanh(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def gibbs_state(h: np.ndarray, beta) -> np.ndarray:
     """Thermal state exp(-beta*H)/Z for Hermitian H and beta >= 0.
 
     Uses rho = (I - tanh(beta*b) n.sigma)/2 on the traceless part, which is
-    exact and immune to overflow at large beta.
+    exact and immune to overflow at large beta.  An array of betas gives a
+    stack of states, one per beta.
     """
     h = require_hermitian(_as_matrix(h, "H"), "H")
-    if not (math.isfinite(beta) and beta >= 0.0):
+    beta = np.asarray(beta, dtype=float)
+    if not (np.isfinite(beta).all() and (beta >= 0.0).all()):
         raise ValidationError("beta must be finite and >= 0")
     _, b, n = _pauli_decompose(h)
-    t = math.tanh(beta * b)
+    t = np.asarray(tanh(beta * b))[..., None, None]
     rho = 0.5 * (IDENTITY - t * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z))
     return rho
 

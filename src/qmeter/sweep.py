@@ -196,6 +196,8 @@ def slice_profile(
     """
     if fixed not in ("alpha", "phi"):
         raise ConfigurationError("fixed must be 'alpha' or 'phi'")
+    if points < 1:
+        raise ConfigurationError("points must be >= 1")
     if fixed == "alpha" and not (0.0 <= value <= math.pi):
         raise ConfigurationError("fixed alpha outside [0, pi]")
     if fixed == "phi" and not (0.0 <= value <= TWO_PI):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams
+from .cycle import EngineParams, evaluate_samples
+from .errors import ConfigurationError
 from .measurement import basis_kets, measure
 from .propagator import DriveSpec, Segment, convergence_order, time_ordered_propagator
 from .qubit_algebra import (
@@ -121,13 +122,9 @@ def suite_measurement_channel(
                        TOL.kelvin, detail)
 
 
-def _sample_params(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    return (
-        rng.uniform(0.0, math.pi),
-        rng.uniform(0.0, 2.0 * math.pi),
-        rng.uniform(0.001, 10.0),
-        rng.uniform(0.1, 10.0),
-    )
+def _worst(values: np.ndarray, start: float) -> float:
+    """Largest of ``values``, skipping NaN; ``start`` when there is none."""
+    return float(np.fmax.reduce(values, initial=start))
 
 
 def cycle_identity_suites(
@@ -135,36 +132,32 @@ def cycle_identity_suites(
 ) -> list[SuiteResult]:
     """First law, Kelvin, entropy equalities, analytic-vs-trace residuals,
     efficiency forms and bounds, and the 1/zeta + 1/gamma inequality, all on
-    one shared random parameter sample.
+    one shared random parameter sample, evaluated as one batch.
 
-    The identities are exact for any unitary pair, so a moderate step count
-    is enough; residuals do not depend on the integration error.
+    A sample with violated cycle invariants contributes its worst violation
+    to the first-law suite and is left out of the others.  The identities
+    are exact for any unitary pair, so a moderate step count is enough;
+    residuals do not depend on the integration error.
     """
-    first_law = entropy = analytic = eta_forms = 0.0
+    alpha, phi, omega_tau, beta = rng.uniform(
+        [0.0, 0.0, 0.001, 0.1], [math.pi, 2.0 * math.pi, 10.0, 10.0], size=(samples, 4)).T
+    batch = evaluate_samples(omega_tau, beta, alpha, phi, steps)
+    ok = batch.rows["ok"]
+    rows = batch.rows[ok]
+    res = {name: values[ok] for name, values in batch.residuals.items()}
+    violation = np.fmax.reduce([np.where(value > bound, value, -math.inf)
+                                for value, bound in batch.checks.values()])
+    first_law = _worst(np.where(ok, batch.residuals["first_law"], violation), 0.0)
     # signed worst values: these quantities are at most 0 when the check holds
-    kelvin = bounds = inequality = -math.inf
-    for _ in range(samples):
-        alpha, phi, omega_tau, beta = _sample_params(rng)
-        engine = CycleEngine(EngineParams(
-            omega_tau=omega_tau, beta_hbar_omega=beta, steps=steps))
-        record, violations = engine.evaluate_flagged(alpha, phi)
-        if violations:
-            first_law = max(first_law, max(violations.values()))
-            continue
-        first_law = max(first_law, record.residuals["first_law"])
-        kelvin = max(kelvin, record.q_t)
-        entropy = max(entropy, record.residuals["entropy_12"],
-                      record.residuals["entropy_34"],
-                      record.residuals["entropy_thermalization"],
-                      max(0.0, -record.d_s))
-        analytic = max(analytic, record.residuals["w"],
-                       record.residuals["q_m"], record.residuals["q_t"])
-        eta_forms = max(eta_forms, record.residuals["eta"])
-        if record.q_m > TOL.fuel and record.w < 0.0:
-            bounds = max(bounds, -record.eta, record.eta - 1.0)
-        pr = record.probs
-        if pr.zeta > 1e-6 and pr.gamma > 1e-6:
-            inequality = max(inequality, 2.0 - (1.0 / pr.zeta + 1.0 / pr.gamma))
+    kelvin = _worst(rows["q_t"], -math.inf)
+    entropy = _worst(np.fmax.reduce([res["entropy_12"], res["entropy_34"],
+                                     res["entropy_thermalization"], -rows["ds"]]), 0.0)
+    analytic = _worst(np.fmax.reduce([res["w"], res["q_m"], res["q_t"]]), 0.0)
+    eta_forms = _worst(res["eta"], 0.0)
+    eta = rows["eta"][(rows["q_m"] > TOL.fuel) & (rows["w_ext"] > 0.0)]
+    bounds = _worst(np.fmax(-eta, eta - 1.0), -math.inf)
+    pr = rows[(rows["zeta"] > 1e-6) & (rows["gamma"] > 1e-6)]
+    inequality = _worst(2.0 - (1.0 / pr["zeta"] + 1.0 / pr["gamma"]), -math.inf)
     return [
         SuiteResult("first_law", first_law <= TOL.first_law, first_law, TOL.first_law),
         SuiteResult("kelvin", kelvin <= TOL.kelvin, kelvin, TOL.kelvin),
@@ -192,6 +185,8 @@ def run_all_suites(
     grid_points: tuple[int, int] = (129, 129),
     rehermitize: bool = True,
 ) -> list[SuiteResult]:
+    if samples < 1:
+        raise ConfigurationError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     results = [
         suite_unitarity(rng, samples=min(samples, 2000)),

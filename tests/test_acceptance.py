@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from qmeter import (
-    CycleEngine,
-    EngineParams,
     GridSpec,
     Objective,
     grid_sweep,
@@ -24,6 +22,7 @@ from qmeter import (
     slice_profile,
     symmetry_residual,
 )
+from qmeter.cycle import evaluate_samples
 from qmeter.propagator import DriveSpec, Segment, convergence_order, time_ordered_propagator
 
 from conftest import DEFAULT_OMEGA_TAU, DEFAULT_SEED, default_params
@@ -52,53 +51,44 @@ def off_target(ext, target):
 def random_samples():
     """Shared 10^4-sample statistics for criteria 4, 5, 6 and 8."""
     rng = np.random.default_rng(DEFAULT_SEED)
-    stats = {
-        "q_t": [], "first_law": [], "s12": [], "s34": [], "thermalization": [],
-        "d_s_min": math.inf, "w": [], "q_m": [], "q_t_res": [], "eta_forms": [],
-        "eta_lo": math.inf, "eta_hi": -math.inf, "inequality": [],
-    }
-    for _ in range(SAMPLES):
-        params = EngineParams(
-            omega_tau=rng.uniform(0.001, 10.0),
-            beta_hbar_omega=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0.0, math.pi),
-            phi=rng.uniform(0.0, 2.0 * math.pi),
-            steps=256,
-        )
-        engine = CycleEngine(params)
-        record, violations = engine.evaluate_flagged(params.alpha, params.phi)
-        assert not violations
-        stats["q_t"].append(record.q_t)
-        stats["first_law"].append(record.residuals["first_law"])
-        stats["s12"].append(record.residuals["entropy_12"])
-        stats["s34"].append(record.residuals["entropy_34"])
-        stats["thermalization"].append(record.residuals["entropy_thermalization"])
-        stats["d_s_min"] = min(stats["d_s_min"], record.d_s)
-        stats["w"].append(record.residuals["w"])
-        stats["q_m"].append(record.residuals["q_m"])
-        stats["q_t_res"].append(record.residuals["q_t"])
+    # per sample, in this order: omega_tau, beta, alpha, phi
+    omega_tau, beta, alpha, phi = rng.uniform(
+        [0.001, 0.1, 0.0, 0.0], [10.0, 10.0, math.pi, 2.0 * math.pi], size=(SAMPLES, 4)).T
+    batch = evaluate_samples(omega_tau, beta, alpha, phi, steps=256)
+    rows, res = batch.rows, batch.residuals
+    assert rows["ok"].all()
 
-        # both printed efficiency forms, re-derived here independently
-        p = record.probs
-        dp1, dp2, dp3, dp4 = record.dp1, record.dp2, record.dp3, record.dp4
-        den_occ = dp2 - dp3
-        den_heat = (1 - 2 * p.delta) * (1 - 2 * p.zeta) - (1 - 2 * p.xi)
-        if abs(den_occ) > 1e-12 and abs(den_heat) > 1e-12:
-            eta_occ = 1.0 - (dp1 - dp4) / den_occ
-            eta_heat = 1.0 - ((1 - 2 * p.gamma) * (1 - 2 * p.zeta) - 1.0) / den_heat
-            # the 1e-12 agreement is checked relative to the magnitude and
-            # the cancellation conditioning; in IEEE doubles the absolute
-            # form is unreachable wherever the subtractions lose digits
-            kappa = (abs(dp1) + abs(dp4)) / max(abs(dp1 - dp4), 1e-300) + (
-                abs(dp2) + abs(dp3)) / max(abs(den_occ), 1e-300)
-            scale = max(1.0, abs(eta_occ), abs(eta_heat)) * max(1.0, kappa)
-            stats["eta_forms"].append(abs(eta_occ - eta_heat) / scale)
-        if record.q_m > 1e-12 and record.w < 0.0:
-            stats["eta_lo"] = min(stats["eta_lo"], record.eta)
-            stats["eta_hi"] = max(stats["eta_hi"], record.eta)
-        if p.zeta > 1e-6 and p.gamma > 1e-6:
-            stats["inequality"].append(1.0 / p.zeta + 1.0 / p.gamma)
-    return stats
+    # both printed efficiency forms, re-derived here independently from the
+    # transition probabilities (math.tanh, like the package, so the occupation
+    # differences match its own to the last bit)
+    xi, zeta, delta, gamma = (rows[name] for name in ("xi", "zeta", "delta", "gamma"))
+    dp1 = np.array([math.tanh(0.5 * b) for b in beta])
+    dp2 = dp1 * (1 - 2 * xi)
+    dp3 = dp1 * (1 - 2 * delta) * (1 - 2 * zeta)
+    dp4 = dp1 * (1 - 2 * gamma) * (1 - 2 * zeta)
+    den_occ = dp2 - dp3
+    den_heat = (1 - 2 * delta) * (1 - 2 * zeta) - (1 - 2 * xi)
+    both = (np.abs(den_occ) > 1e-12) & (np.abs(den_heat) > 1e-12)
+    eta_occ = 1.0 - (dp1 - dp4)[both] / den_occ[both]
+    eta_heat = 1.0 - ((1 - 2 * gamma) * (1 - 2 * zeta) - 1.0)[both] / den_heat[both]
+    # the 1e-12 agreement is checked relative to the magnitude and the
+    # cancellation conditioning; in IEEE doubles the absolute form is
+    # unreachable wherever the subtractions lose digits
+    kappa = ((np.abs(dp1) + np.abs(dp4)) / np.maximum(np.abs(dp1 - dp4), 1e-300)
+             + (np.abs(dp2) + np.abs(dp3)) / np.maximum(np.abs(den_occ), 1e-300))[both]
+    scale = np.maximum(np.maximum(1.0, np.abs(eta_occ)), np.abs(eta_heat)) * np.maximum(1.0, kappa)
+
+    engine_regime = (rows["q_m"] > 1e-12) & (rows["w_ext"] > 0.0)
+    eta = rows["eta"][engine_regime]
+    resolved = (zeta > 1e-6) & (gamma > 1e-6)
+    return {
+        "q_t": rows["q_t"], "first_law": res["first_law"], "s12": res["entropy_12"],
+        "s34": res["entropy_34"], "thermalization": res["entropy_thermalization"],
+        "d_s_min": rows["ds"].min(), "w": res["w"], "q_m": res["q_m"], "q_t_res": res["q_t"],
+        "eta_forms": np.abs(eta_occ - eta_heat) / scale,
+        "eta_lo": eta.min(initial=math.inf), "eta_hi": eta.max(initial=-math.inf),
+        "inequality": 1.0 / zeta[resolved] + 1.0 / gamma[resolved],
+    }
 
 
 @pytest.mark.xfail(

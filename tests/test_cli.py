@@ -251,3 +251,45 @@ def test_parser_covers_all_subcommands():
             ["--alpha-rad", "1", "--phi-rad", "1"] if command == "run" else
             ["--fixed-alpha", "1"] if command == "slice" else []))
         assert args.command == command
+
+
+def test_repeated_main_calls_carry_no_options_over(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QMETER_SEED", raising=False)
+    row_csv = tmp_path / "row.csv"
+    rc, _, _ = run_cli(["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", "256",
+                        "--csv", str(row_csv)], capsys)
+    assert rc == 0 and row_csv.exists()
+    row_csv.unlink()
+    rc, out, _ = run_cli(["run", "--alpha-rad", "1.0", "--phi-rad", "2.0"], capsys)
+    assert rc == 0 and not row_csv.exists()
+    assert parse_record(out)["steps"] == "1024"
+
+    trimmed = ["--samples", "5", "--grid-alpha-points", "5", "--grid-phi-points", "5"]
+    rc, out, _ = run_cli(["verify", "--seed", "42", *trimmed], capsys)
+    assert rc == 0 and "seed=42" in out
+    rc, out, _ = run_cli(["verify", *trimmed], capsys)
+    assert rc == 0 and "seed=20201" in out
+
+    rc, _, _ = run_cli(["slice", "--fixed-phi", "1.0", "--points", "9", "--steps", "256",
+                        "--output", str(tmp_path / "a.csv")], capsys)
+    assert rc == 0
+    # a --fixed-phi left over from the call before would make this one ambiguous
+    rc, _, err = run_cli(["slice", "--fixed-alpha", "1.0", "--steps", "256",
+                          "--output", str(tmp_path / "b.csv")], capsys)
+    assert rc == 0, err
+    assert len((tmp_path / "b.csv").read_text().splitlines()) == 1 + 513
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(capsys, samples):
+    rc, out, err = run_cli(["verify", "--samples", samples], capsys)
+    assert rc == 1
+    assert "samples must be >= 1" in err
+    assert "PASS" not in out
+
+
+def test_slice_rejects_fewer_than_one_point(tmp_path, capsys):
+    rc, _, err = run_cli(["slice", "--fixed-phi", "1.0", "--points", "-2",
+                          "--output", str(tmp_path / "profile.csv")], capsys)
+    assert rc == 1
+    assert "points must be >= 1" in err

@@ -5,6 +5,10 @@ The stroke propagators are replaced by the exact rotating-frame solutions
 to the independent Bloch-vector oracle at ``Tolerances.analytic`` for any
 drive duration and temperature.  Batch sizes fall on both sides of the
 block constant, with drawn nodes placed at the block edges.
+
+The sample batches (``evaluate_samples``, ``drive_propagators``) are held
+to the one-engine path sample by sample, bit for bit, with batch sizes on
+both sides of the propagator chunk and of the block constant.
 """
 
 import math
@@ -14,8 +18,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmeter import DEFAULT_TOLERANCES as TOL
-from qmeter import CycleEngine, EngineParams
-from qmeter.cycle import NODE_BLOCK, ROW_DTYPE
+from qmeter import CycleEngine, DriveSpec, EngineParams, Segment, time_ordered_propagator
+from qmeter.cycle import NODE_BLOCK, ROW_DTYPE, evaluate_samples
+from qmeter.propagator import FACTOR_BLOCK, drive_propagators
 
 from conftest import bloch_cycle, closed_form_u, closed_form_v
 
@@ -86,3 +91,53 @@ def test_batch_of_one_matches_the_batch(engine_params, batch):
             assert (math.isnan(one) and math.isnan(many)) or abs(one - many) <= 1e-15 * max(
                 1.0, abs(many)), name
         assert record.w_ext == rows["w_ext"][k] and record.d_s == rows["ds"][k]
+
+
+omega_taus = st.floats(1e-3, 1e4)
+betas = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+small_steps = st.sampled_from([2, 3, 8, 16])
+
+
+@st.composite
+def sample_batches(draw):
+    """(steps, omega_taus, betas, alphas, phis, checked) for evaluate_samples:
+    seeded uniform samples with drawn ones at the first and last positions
+    and at the edges of the propagator chunk and the node block."""
+    steps = draw(small_steps)
+    chunk = FACTOR_BLOCK // (2 * steps)  # samples per propagator chunk
+    size = draw(st.sampled_from([1, 2, chunk - 1, chunk + 1, NODE_BLOCK, NODE_BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform([1e-3, 0.0, 0.0, 0.0], [10.0, 10.0, math.pi, TWO_PI], size=(size, 4))
+    edges = {0, size - 1, chunk - 1, chunk, NODE_BLOCK - 1, NODE_BLOCK}
+    checked = sorted(k for k in edges if k < size)
+    for k in checked:
+        x[k] = draw(omega_taus), draw(betas), draw(alphas), draw(phis)
+    return (steps, *x.T, checked)
+
+
+@given(sample_batches())
+def test_evaluate_samples_matches_one_engine_per_sample(batch):
+    steps, omega_tau, beta, alpha, phi, checked = batch
+    result = evaluate_samples(omega_tau, beta, alpha, phi, steps)
+    assert result.rows.shape == omega_tau.shape
+    for k in checked:
+        engine = CycleEngine(EngineParams(omega_tau=omega_tau[k], beta_hbar_omega=beta[k],
+                                          steps=steps))
+        record, violations = engine.evaluate_flagged(alpha[k], phi[k])
+        assert record.row.tobytes() == result.rows[k:k + 1].tobytes()
+        for name, value in record.residuals.items():
+            assert np.float64(value).tobytes() == result.residuals[name][k].tobytes(), name
+        flagged = {name for name, (values, bound) in result.checks.items() if values[k] > bound}
+        assert flagged == set(violations)
+
+
+@given(small_steps, st.integers(0, 2**32 - 1), st.lists(omega_taus, min_size=2, max_size=2))
+def test_drive_propagators_match_one_build_per_segment(steps, seed, drawn):
+    chunk = FACTOR_BLOCK // (2 * steps)
+    taus = np.random.default_rng(seed).uniform(1e-3, 10.0, chunk + 1)
+    taus[[chunk - 1, chunk]] = drawn
+    pairs = drive_propagators(taus, steps)
+    for k in (0, chunk - 1, chunk):
+        for j, segment in enumerate((Segment.I, Segment.II)):
+            u = time_ordered_propagator(DriveSpec(tau=taus[k], segment=segment), steps).u
+            assert u.tobytes() == pairs[k, j].tobytes()
