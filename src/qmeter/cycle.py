@@ -6,9 +6,10 @@ probabilities are a derived view; ``crosscheck`` reports the residuals
 between the two so every run doubles as a self-test.
 
 Sign bookkeeping: ``w`` is the net work done ON the working substance by the
-external agent; the engine delivers ``w_ext = -w``.  The occupation-difference
-work formula is implemented as w = +(hbar_omega/2)(dp1 - dp2 + dp3 - dp4),
-the sign fixed empirically against the trace path.
+external agent; the engine delivers ``w_ext = -w``.  Energies are in units
+of hbar_omega.  The occupation-difference work formula is implemented as
+w = +(dp1 - dp2 + dp3 - dp4)/2, the sign fixed empirically against the
+trace path.
 
 ``CycleEngine.evaluate_nodes`` evaluates both paths for a whole array of
 measurement angles at once, on (M, 2, 2) density-matrix stacks and (M,)
@@ -44,7 +45,7 @@ from .qubit_algebra import (
     trace_2x2,
     von_neumann_entropy,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 _X_BRAS = np.array([KET_PLUS_X, KET_MINUS_X]).conj()
 
@@ -65,20 +66,20 @@ ROW_DTYPE = np.dtype([
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Physical and numerical configuration of one cycle evaluation."""
+    """Physical and numerical configuration of one cycle evaluation, with
+    energies in units of hbar_omega."""
 
     omega_tau: float
     beta_hbar_omega: float
     alpha: float = 0.0
     phi: float = 0.0
     steps: int = 1024
-    hbar_omega: float = 1.0
 
     def __post_init__(self):
-        _check_engine_inputs(self.omega_tau, self.beta_hbar_omega, self.steps, self.hbar_omega)
+        _check_engine_inputs(self.omega_tau, self.beta_hbar_omega, self.steps)
 
 
-def _check_engine_inputs(omega_tau, beta_hbar_omega, steps, hbar_omega=1.0) -> None:
+def _check_engine_inputs(omega_tau, beta_hbar_omega, steps) -> None:
     """The rules of EngineParams; omega_tau and beta_hbar_omega may also be
     arrays with one value per sample."""
     if not np.all(np.isfinite(omega_tau) & (np.asarray(omega_tau) > 0.0)):
@@ -88,8 +89,6 @@ def _check_engine_inputs(omega_tau, beta_hbar_omega, steps, hbar_omega=1.0) -> N
         raise ValidationError("beta_hbar_omega must be finite and >= 0")
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValidationError("steps must be an integer >= 2")
-    if not (math.isfinite(hbar_omega) and hbar_omega > 0.0):
-        raise ValidationError("hbar_omega must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class TransitionProbs:
     gamma: float
 
     def __post_init__(self):
-        tol = DEFAULT_TOLERANCES.probability
+        tol = TOL.probability
         p = np.array([self.xi, self.zeta, self.delta, self.gamma], dtype=float)
         if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # NaN fails both
             where = tuple(np.argwhere(~((-tol <= p) & (p <= 1.0 + tol)))[0])
@@ -203,7 +202,6 @@ def transition_probabilities(
     u: np.ndarray,
     v: np.ndarray,
     basis: MeasurementBasis,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> TransitionProbs:
     """Squared overlaps (xi, zeta, delta, gamma) for propagators u, v and a basis.
 
@@ -215,9 +213,9 @@ def transition_probabilities(
     path identically, which the crosscheck enforces at 1e-8.  A basis with
     a node axis gives one value per node.
     """
-    u = require_unitary(u, "u", tol.unitary_input)
-    v = require_unitary(v, "v", tol.unitary_input)
-    return _overlap_probabilities(_targets(u), v, basis, tol)
+    u = require_unitary(u, "u")
+    v = require_unitary(v, "v")
+    return _overlap_probabilities(_targets(u), v, basis)
 
 
 def _targets(u: np.ndarray) -> np.ndarray:
@@ -229,8 +227,8 @@ def _targets(u: np.ndarray) -> np.ndarray:
     return targets
 
 
-def _overlap_probabilities(targets: np.ndarray, v: np.ndarray, basis: MeasurementBasis,
-                           tol: Tolerances) -> TransitionProbs:
+def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
+                           basis: MeasurementBasis) -> TransitionProbs:
     """``transition_probabilities`` for a unitary v checked by the caller and
     ``targets = _targets(u)``."""
     # |<chi_k|t>|^2 for k = 1, 2 (first axis) and t = u|down>, |-x> (last
@@ -246,7 +244,7 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray, basis: Measuremen
     worst = max(np.abs(to_basis[0] + to_basis[1] - 1.0).max(),
                 np.abs(xi + xi_rest - 1.0).max(),
                 np.abs(v_chi1[..., 0] + v_chi1[..., 1] - 1.0).max())
-    if worst > tol.probability:
+    if worst > TOL.probability:
         raise ValidationError(f"transition probabilities not complete (residual {worst:.3e})")
     return TransitionProbs(xi=np.full(np.shape(zeta), xi)[()], zeta=zeta, delta=delta,
                            gamma=gamma)
@@ -269,9 +267,9 @@ def efficiency_scale(dp1, dp2, dp3, dp4, eta_a, eta_b, trace_kappa=0.0):
     number (|x| + |y|)/|x - y|, and that of a ratio with its magnitude, so
     two forms of one identity agree to about eps times this scale.
     ``trace_kappa`` adds the conditioning of a further subtraction, such as
-    hbar_omega/|q_m| for the trace path's fuel q_m = e3 - e2, a difference
-    of traces of order hbar_omega.  At a well-conditioned node the scale is
-    1 and the plain bound applies.
+    1/|q_m| for the trace path's fuel q_m = e3 - e2, a difference of traces
+    of order 1.  At a well-conditioned node the scale is 1 and the plain
+    bound applies.
     """
     kappa = ((np.abs(dp1) + np.abs(dp4)) / np.maximum(np.abs(dp1 - dp4), 1e-300)
              + (np.abs(dp2) + np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-300)
@@ -282,31 +280,28 @@ def efficiency_scale(dp1, dp2, dp3, dp4, eta_a, eta_b, trace_kappa=0.0):
 def analytic_energetics(
     probs: TransitionProbs,
     beta_hbar_omega: float,
-    hbar_omega: float = 1.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AnalyticEnergetics:
     """Closed-form energetics from the transition probabilities (per node
     when they are arrays).
 
     The efficiency is evaluated through both equivalent forms (heat ratio and
-    occupation ratio) and their agreement is enforced at ``tol.eta_forms``.
+    occupation ratio) and their agreement is enforced at ``eta_forms``.
     """
     dp1, dp2, dp3, dp4 = occupation_deltas(probs, beta_hbar_omega)
-    half = 0.5 * hbar_omega
     den_occ = dp2 - dp3
     one_2z = 1.0 - 2.0 * probs.zeta
     num_heat = (1.0 - 2.0 * probs.gamma) * one_2z - 1.0
     den_heat = (1.0 - 2.0 * probs.delta) * one_2z - (1.0 - 2.0 * probs.xi)
-    w = half * (dp1 - dp2 + dp3 - dp4)
-    q_m = half * den_occ
-    q_t = half * num_heat * dp1
-    eta_occ = 1.0 - _ratio(dp1 - dp4, den_occ, np.abs(den_occ) > tol.fuel)
-    eta_heat = 1.0 - _ratio(num_heat, den_heat, np.abs(den_heat) > tol.fuel)
+    w = 0.5 * (dp1 - dp2 + dp3 - dp4)
+    q_m = 0.5 * den_occ
+    q_t = 0.5 * num_heat * dp1
+    eta_occ = 1.0 - _ratio(dp1 - dp4, den_occ, np.abs(den_occ) > TOL.fuel)
+    eta_heat = 1.0 - _ratio(num_heat, den_heat, np.abs(den_heat) > TOL.fuel)
     # one algebraic identity, so any disagreement is roundoff; the bound
     # follows its noise floor (NaN where either form is undefined)
     scale = efficiency_scale(dp1, dp2, dp3, dp4, eta_occ, eta_heat)
     gap = np.abs(eta_heat - eta_occ)
-    bad = gap > tol.eta_forms * scale
+    bad = gap > TOL.eta_forms * scale
     if bad.any():
         raise InvariantViolation(
             "efficiency forms disagree",
@@ -320,50 +315,40 @@ class CycleEngine:
 
     The propagators and thermal pieces do not depend on the measurement
     angles, so they are built and validated once here and every node reuses
-    them.  ``u_override``/``v_override`` are test hooks replacing the stroke
+    them.  ``propagators=(u, v)`` is a test hook replacing the stroke
     propagators with arbitrary unitaries.
     """
 
-    def __init__(
-        self,
-        params: EngineParams,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-        u_override: np.ndarray | None = None,
-        v_override: np.ndarray | None = None,
-    ):
+    def __init__(self, params: EngineParams,
+                 propagators: tuple[np.ndarray, np.ndarray] | None = None):
         self.params = params
-        if u_override is None or v_override is None:
-            u, v = _propagator_pair(params.omega_tau, params.steps)
-        self._prepare(u if u_override is None else u_override,
-                      v if v_override is None else v_override,
-                      params.beta_hbar_omega, params.hbar_omega, tol)
+        if propagators is None:
+            propagators = _propagator_pair(params.omega_tau, params.steps)
+        self._prepare(*propagators, params.beta_hbar_omega)
 
     @classmethod
     def _for_samples(cls, u: np.ndarray, v: np.ndarray, betas: np.ndarray) -> "CycleEngine":
         """An engine whose state has a leading sample axis: sample k has the
-        propagators u[k], v[k] and inverse temperature betas[k] at a unit
-        gap, and the kernel evaluates node k of a block with one node per
-        sample."""
+        propagators u[k], v[k] and inverse temperature betas[k], and the
+        kernel evaluates node k of a block with one node per sample."""
         engine = cls.__new__(cls)
         engine.params = None
-        engine._prepare(u, v, betas, 1.0, DEFAULT_TOLERANCES)
+        engine._prepare(u, v, betas)
         return engine
 
-    def _prepare(self, u, v, beta, hbar_omega: float, tol: Tolerances) -> None:
+    def _prepare(self, u, v, beta) -> None:
         """Build and check everything that does not depend on the node."""
-        self.tol = tol
         self.beta = beta
-        self.hbar_omega = hw = hbar_omega
-        self.h1 = 0.5 * hw * SIGMA_Z
-        self.h2 = 0.5 * hw * SIGMA_X
-        self.u = require_unitary(u, "u", tol.unitary_input)
-        self.v = require_unitary(v, "v", tol.unitary_input)
+        self.h1 = 0.5 * SIGMA_Z
+        self.h2 = 0.5 * SIGMA_X
+        self.u = require_unitary(u, "u")
+        self.v = require_unitary(v, "v")
         self.v_dag = self.v.conj().swapaxes(-1, -2)
         self.targets = _targets(self.u)
-        self.rho1 = gibbs_state(self.h1, beta / hw)
+        self.rho1 = gibbs_state(self.h1, beta)
         self.rho2 = self.u @ self.rho1 @ self.u.conj().swapaxes(-1, -2)
-        require_density_matrix(self.rho2, "rho2", tol)
-        self.s1, self.s2 = von_neumann_entropy(np.stack([self.rho1, self.rho2]), tol)
+        require_density_matrix(self.rho2, "rho2")
+        self.s1, self.s2 = von_neumann_entropy(np.stack([self.rho1, self.rho2]))
         self.e1 = trace_2x2(self.rho1 @ self.h1).real
         self.e2 = trace_2x2(self.rho2 @ self.h2).real
 
@@ -422,13 +407,12 @@ class CycleEngine:
         for each flagged invariant its value and the bound it must not
         exceed.  Checks outside that set raise, as they do for one node.
         """
-        tol, hw = self.tol, self.hbar_omega
-        basis = basis_kets(alphas, phis, tol)
+        basis = basis_kets(alphas, phis)
 
         # trace path, on (M, 2, 2) density-matrix stacks
-        rho3, _ = measure(self.rho2, basis, tol)
+        rho3, _ = measure(self.rho2, basis)
         rho4 = self.v @ rho3 @ self.v_dag
-        s3, s4 = von_neumann_entropy(np.array([rho3, rho4]), tol, "rho3, rho4")
+        s3, s4 = von_neumann_entropy(np.array([rho3, rho4]), "rho3, rho4")
         e3 = trace_2x2(rho3 @ self.h2).real
         e4 = trace_2x2(rho4 @ self.h1).real
         w1 = self.e2 - self.e1
@@ -436,20 +420,20 @@ class CycleEngine:
         w2 = e4 - e3
         q_t = self.e1 - e4
         w = w1 + w2
-        fueled = q_m > tol.fuel * hw
+        fueled = q_m > TOL.fuel
         eta = _ratio(-w, q_m, fueled)
         d_s = s3 - self.s2
 
         # closed-form path, from the transition probabilities alone
-        probs = _overlap_probabilities(self.targets, self.v, basis, tol)
-        analytic = analytic_energetics(probs, self.beta, hw, tol)
+        probs = _overlap_probabilities(self.targets, self.v, basis)
+        analytic = analytic_energetics(probs, self.beta)
         dp = analytic.dp
 
         # the eta residual is scaled like the forms check, plus the
         # conditioning of the trace path's fuel; NaN where either eta is
         # undefined, and fmax turns that into 0
         eta_res = np.abs(eta - analytic.eta) / efficiency_scale(
-            *dp, eta, analytic.eta, _ratio(hw, q_m, fueled))
+            *dp, eta, analytic.eta, _ratio(1.0, q_m, fueled))
         residuals = {
             "first_law": np.abs(w1 + w2 + q_m + q_t),
             "w": np.abs(w - analytic.w),
@@ -461,11 +445,11 @@ class CycleEngine:
             "entropy_thermalization": np.abs((self.s1 - s4) + d_s),
         }
         checks = {
-            "first_law": (residuals["first_law"], tol.first_law * hw),
-            "kelvin": (q_t, tol.kelvin * hw),
-            "entropy_decrease": (-d_s, tol.entropy_decrease),
-            "entropy_12": (residuals["entropy_12"], tol.entropy_equality),
-            "entropy_34": (residuals["entropy_34"], tol.entropy_equality),
+            "first_law": (residuals["first_law"], TOL.first_law),
+            "kelvin": (q_t, TOL.kelvin),
+            "entropy_decrease": (-d_s, TOL.entropy_decrease),
+            "entropy_12": (residuals["entropy_12"], TOL.entropy_equality),
+            "entropy_34": (residuals["entropy_34"], TOL.entropy_equality),
         }
 
         out["alpha"], out["phi"], out["w_ext"], out["q_m"], out["q_t"] = alphas, phis, -w, q_m, q_t
@@ -481,8 +465,7 @@ class CycleEngine:
 
 def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch:
     """Evaluate one cycle per sample k: drive duration omega_taus[k], inverse
-    temperature betas[k] (as beta*hbar_omega) and node (alphas[k], phis[k]),
-    with energies in units of hbar_omega.
+    temperature betas[k] (as beta*hbar_omega) and node (alphas[k], phis[k]).
 
     The four arrays broadcast against each other.  They are checked once
     here by the rules of ``EngineParams``.  Sample k gives the same row and
@@ -510,13 +493,13 @@ def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch
     return SampleBatch(rows=rows, residuals=residuals, checks=checks)
 
 
-def run_cycle(params: EngineParams, tol: Tolerances = DEFAULT_TOLERANCES) -> CycleRecord:
+def run_cycle(params: EngineParams) -> CycleRecord:
     """Execute one full cycle at the given parameters.
 
     Raises InvariantViolation (carrying the residuals) if any cycle invariant
     fails; an undefined efficiency is a flag, not an error.
     """
-    return CycleEngine(params, tol).evaluate(params.alpha, params.phi)
+    return CycleEngine(params).evaluate(params.alpha, params.phi)
 
 
 def crosscheck(record: CycleRecord) -> CrosscheckReport:

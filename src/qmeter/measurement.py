@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .qubit_algebra import IDENTITY, require_density_matrix, trace_2x2
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,14 +67,13 @@ def _reduce_angles(alpha, phi):
         raise ValidationError("alpha and phi must be finite")
     alpha = alpha % TWO_PI
     phi = phi % TWO_PI
-    # alpha > pi and not math.isclose(alpha, pi, abs_tol=1e-15): past pi,
-    # the default rel_tol=1e-9 of isclose always exceeds abs_tol
-    if (alpha - math.pi > 1e-9 * alpha).any():
+    # roundoff can leave a reduced pi just past pi; more than that is out of range
+    if (alpha - math.pi > TOL.alpha_range * alpha).any():
         raise ValidationError(f"alpha reduces to {float(alpha.max())!r}, outside [0, pi]")
     return np.minimum(alpha, math.pi), phi
 
 
-def basis_kets(alpha, phi, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementBasis:
+def basis_kets(alpha, phi) -> MeasurementBasis:
     alpha, phi = _reduce_angles(alpha, phi)
     c = np.cos(alpha / 2.0)
     s = np.sin(alpha / 2.0)
@@ -86,7 +85,7 @@ def basis_kets(alpha, phi, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementB
     overlap = np.abs(_overlap(kets[0], kets[1])).max()
     proj = _outer(kets)
     completeness = np.abs(proj[0] + proj[1] - IDENTITY).max()
-    if overlap > tol.basis or completeness > tol.basis:
+    if overlap > TOL.basis or completeness > TOL.basis:
         raise ValidationError(
             f"basis not orthonormal: overlap {overlap:.3e}, completeness {completeness:.3e}"
         )
@@ -96,7 +95,6 @@ def basis_kets(alpha, phi, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasurementB
 def measure(
     rho: np.ndarray,
     basis: MeasurementBasis,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     rehermitize: bool = True,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Non-selective projective measurement: rho -> p1*pi1 + p2*pi2 dephasing.
@@ -107,7 +105,7 @@ def measure(
     ``rehermitize=False`` is a fault-injection hook for the verification
     suite and must not be used otherwise.
     """
-    rho = require_density_matrix(rho, tol=tol)
+    rho = require_density_matrix(rho)
     proj = basis.projectors()
     proj_rho = proj @ rho
     post = proj_rho @ proj
@@ -116,9 +114,9 @@ def measure(
         post = 0.5 * (post + post.conj().swapaxes(-1, -2))
     p1, p2 = trace_2x2(proj_rho).real
     deviation = np.abs(p1 + p2 - 1.0).max()
-    if deviation > tol.probability:
+    if deviation > TOL.probability:
         raise ValidationError(f"probabilities miss a sum of 1 by {deviation:.3e}")
     leak = np.abs(_overlap(basis.chi1, (post @ basis.chi2[..., None])[..., 0])).max()
-    if leak > tol.channel:
+    if leak > TOL.channel:
         raise ValidationError(f"post state not diagonal in the basis (leak {leak:.3e})")
     return post, (p1, p2)

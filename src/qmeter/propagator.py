@@ -44,17 +44,14 @@ class Segment(enum.Enum):
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """One driven stroke: duration as dimensionless omega*tau, gap hbar_omega."""
+    """One driven stroke: duration as dimensionless omega*tau."""
 
     tau: float
     segment: Segment
-    hbar_omega: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValidationError("tau must be finite and > 0")
-        if not (math.isfinite(self.hbar_omega) and self.hbar_omega > 0.0):
-            raise ValidationError("hbar_omega must be finite and > 0")
 
     def time_window(self) -> tuple[float, float]:
         if self.segment is Segment.I:
@@ -90,18 +87,18 @@ def _axis_angle(segment: Segment, tau, t):
 
 
 def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
-    """H(t) = (hbar_omega/2)(cos(theta) sigma_z + sin(theta) sigma_x).
+    """H(t) = (cos(theta) sigma_z + sin(theta) sigma_x)/2 in units of hbar_omega.
 
     The axis rotates; the gap never changes, so the eigenvalues are exactly
-    +-hbar_omega/2 for every t in the segment.
+    +-1/2 for every t in the segment.
     """
     theta = drive_axis_angle(spec, t)
-    return 0.5 * spec.hbar_omega * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
+    return 0.5 * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
 
 
 def _drive_step_factors(taus: np.ndarray, segments: Sequence[Segment],
                         steps: int) -> np.ndarray:
-    """Exact midpoint exponentials exp(-i H(t_mid) dt / hbar_omega), vectorized.
+    """Exact midpoint exponentials exp(-i H(t_mid) dt), vectorized.
 
     One stack of ``steps`` factors per drive duration in ``taus`` and per
     segment: the shape is (len(taus), len(segments), steps, 2, 2).

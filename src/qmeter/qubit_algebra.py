@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,12 +71,12 @@ def hermiticity_residual(m: np.ndarray) -> float | np.ndarray:
     return np.abs(m - _dagger(m)).max(axis=(-2, -1))
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix",
-                      tol: float = DEFAULT_TOLERANCES.hermiticity) -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = _as_stack(m, name)
     res = np.abs(m - _dagger(m)).max()
-    if res > tol:
-        raise ValidationError(f"{name} is not Hermitian (residual {res:.3e} > {tol:.1e})")
+    if res > TOL.hermiticity:
+        raise ValidationError(
+            f"{name} is not Hermitian (residual {res:.3e} > {TOL.hermiticity:.1e})")
     return m
 
 
@@ -126,13 +126,14 @@ def unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(_dagger(u) @ u - IDENTITY).max())
 
 
-def require_unitary(u: np.ndarray, name: str = "U",
-                    tol: float = DEFAULT_TOLERANCES.unitary_input) -> np.ndarray:
-    """Raise unless u, or every matrix of a stack, is unitary within tol."""
+def require_unitary(u: np.ndarray, name: str = "U") -> np.ndarray:
+    """Raise unless u, or every matrix of a stack, is unitary within
+    ``unitary_input``."""
     u = _as_stack(u, name)
     res = unitarity_residual(u)
-    if res > tol:
-        raise ValidationError(f"{name} is not unitary (residual {res:.3e} > {tol:.1e})")
+    if res > TOL.unitary_input:
+        raise ValidationError(
+            f"{name} is not unitary (residual {res:.3e} > {TOL.unitary_input:.1e})")
     return u
 
 
@@ -165,57 +166,54 @@ def gibbs_state(h: np.ndarray, beta) -> np.ndarray:
     return rho
 
 
-def require_density_matrix(rho: np.ndarray, name: str = "rho",
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Raise unless rho, or every matrix of a stack, is Hermitian with unit
     trace and no negative eigenvalue."""
     rho = _as_stack(rho, name)
     rho_dag = _dagger(rho)
     herm = np.abs(rho - rho_dag).max()
-    if herm > tol.hermiticity:
+    if herm > TOL.hermiticity:
         raise ValidationError(f"{name}: Hermiticity residual {herm:.3e}")
     trace = np.abs(trace_2x2(rho) - 1.0).max()
-    if trace > tol.trace:
+    if trace > TOL.trace:
         raise ValidationError(f"{name}: trace deviates from 1 by {trace:.3e}")
     lo = _eigvals(0.5 * (rho + rho_dag))[0].min()
-    if lo < -tol.eig_floor:
+    if lo < -TOL.eig_floor:
         raise ValidationError(f"{name}: negative eigenvalue {lo:.3e}")
     return rho
 
 
-def entropy_from_eigenvalues(lo, hi, tol: Tolerances = DEFAULT_TOLERANCES):
+def entropy_from_eigenvalues(lo, hi):
     """Shannon entropy (nats) of {lo, hi}, elementwise; clamps roundoff-negative values.
 
     Eigenvalues in [-eig_floor, 0] are treated as exact zeros; anything more
     negative is a genuine invariant violation, not roundoff.
     """
     lam = np.array([lo, hi], dtype=float)
-    if lam.min() < -tol.eig_floor:
+    if lam.min() < -TOL.eig_floor:
         raise ValidationError(f"eigenvalue {lam.min():.3e} below clamp window")
     lam = lam.clip(0.0, 1.0)
     terms = lam * np.log(lam + (lam == 0.0))  # 0 log 0 = 0
     s = (0.0 - terms[0]) - terms[1]
-    if s.min() < 0.0 or s.max() > math.log(2.0) + tol.eig_floor:
+    if s.min() < 0.0 or s.max() > math.log(2.0) + TOL.eig_floor:
         raise ValidationError(f"entropy {float(s.max())!r} outside [0, ln 2]")
     return s
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
-                        name: str = "rho"):
+def von_neumann_entropy(rho: np.ndarray, name: str = "rho"):
     """S(rho) = -sum(lambda ln lambda) in nats, via the closed-form eigenvalues.
 
     Checks rho with ``require_density_matrix`` first; a stack gives one
     entropy per matrix.
     """
-    return entropy_from_eigenvalues(*_eigvals(require_density_matrix(rho, name, tol)), tol)
+    return entropy_from_eigenvalues(*_eigvals(require_density_matrix(rho, name)))
 
 
-def expectation(rho: np.ndarray, a: np.ndarray,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def expectation(rho: np.ndarray, a: np.ndarray) -> float:
     """Re Tr(rho A) for Hermitian A; the imaginary leak must stay below tolerance."""
-    rho = require_density_matrix(_as_matrix(rho, "rho"), tol=tol)
-    a = require_hermitian(_as_matrix(a, "A"), "A", tol.hermiticity)
+    rho = require_density_matrix(_as_matrix(rho, "rho"))
+    a = require_hermitian(_as_matrix(a, "A"), "A")
     value = np.trace(rho @ a)
-    if abs(value.imag) > tol.imag_leak:
+    if abs(value.imag) > TOL.imag_leak:
         raise ValidationError(f"Tr(rho A) has imaginary part {value.imag:.3e}")
     return float(value.real)

@@ -11,9 +11,15 @@ import numpy as np
 
 from .cycle import CycleEngine, EngineParams
 from .errors import ConfigurationError, InvariantViolation
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES as TOL
 
 TWO_PI = 2.0 * math.pi
+
+# locate_extrema: refinement rounds, local grid points per axis per round,
+# and the factor by which the window shrinks each round
+REFINE_ROUNDS = 3
+LOCAL_POINTS = 17
+ZOOM = 10.0
 
 
 class Objective(enum.Enum):
@@ -82,18 +88,14 @@ def locate_extrema(
     table: SweepTable,
     objective: Objective,
     engine: CycleEngine | None = None,
-    rounds: int = 3,
-    local_points: int = 17,
-    zoom: float = 10.0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Extremum:
     """Best grid node, then nested local-grid refinement around the incumbent.
 
-    Each round evaluates a local_points^2 grid, as one batch, on a window
-    that shrinks by ``zoom`` per round.  A node replaces the incumbent only
-    if it is strictly better, and among equal values the first in row-major
-    order wins, so the objective improves monotonically (asserted within
-    tolerance).  Flagged nodes never win.
+    Each of ``REFINE_ROUNDS`` rounds evaluates a ``LOCAL_POINTS``^2 grid, as
+    one batch, on a window that shrinks by ``ZOOM`` per round.  A node
+    replaces the incumbent only if it is strictly better, and among equal
+    values the first in row-major order wins, so the objective improves
+    monotonically (asserted within tolerance).  Flagged nodes never win.
     """
     col = {Objective.MAX_W_EXT: "w_ext", Objective.MAX_ETA: "eta",
            Objective.MIN_DS: "ds"}[objective]
@@ -114,44 +116,37 @@ def locate_extrema(
         engine = CycleEngine(table.grid.base)
     h_a = math.pi / (table.grid.alpha_points - 1)
     h_p = TWO_PI / (table.grid.phi_points - 1)
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         prev = best_v
-        a_grid = np.linspace(max(0.0, best_a - h_a), min(math.pi, best_a + h_a), local_points)
-        p_grid = np.linspace(best_p - h_p, best_p + h_p, local_points) % TWO_PI
-        local = engine.evaluate_nodes(np.repeat(a_grid, local_points),
-                                      np.tile(p_grid, local_points))
+        a_grid = np.linspace(max(0.0, best_a - h_a), min(math.pi, best_a + h_a), LOCAL_POINTS)
+        p_grid = np.linspace(best_p - h_p, best_p + h_p, LOCAL_POINTS) % TWO_PI
+        local = engine.evaluate_nodes(np.repeat(a_grid, LOCAL_POINTS),
+                                      np.tile(p_grid, LOCAL_POINTS))
         k = best(local)
         if k is not None and sign * local[col][k] > sign * best_v:
             best_a, best_p, best_v = (float(local[name][k]) for name in ("alpha", "phi", col))
-        if sign * (prev - best_v) > tol.refinement:
+        if sign * (prev - best_v) > TOL.refinement:
             raise InvariantViolation(
                 "refinement regressed", {"refinement": abs(best_v - prev)}
             )
-        h_a /= zoom
-        h_p /= zoom
+        h_a /= ZOOM
+        h_p /= ZOOM
     return Extremum(objective=objective, alpha_star=best_a, phi_star=best_p,
-                    value=best_v, refinement_rounds=rounds)
+                    value=best_v, refinement_rounds=REFINE_ROUNDS)
 
 
 def _partner_indices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps realizing alpha -> pi - alpha and phi -> phi + pi on the grid."""
-    alphas = grid.alphas()
-    phis = grid.phis()
-    a_partner = np.empty(grid.alpha_points, dtype=int)
-    for i, a in enumerate(alphas):
-        j = int(np.argmin(np.abs(alphas - (math.pi - a))))
-        if abs(alphas[j] - (math.pi - a)) > 1e-9:
-            raise ConfigurationError("alpha grid not symmetric under alpha -> pi - alpha")
-        a_partner[i] = j
-    p_partner = np.empty(grid.phi_points, dtype=int)
-    for i, p in enumerate(phis):
-        target = (p + math.pi) % TWO_PI
-        deltas = np.abs(phis - target)
-        deltas = np.minimum(deltas, TWO_PI - deltas)
-        j = int(np.argmin(deltas))
-        if deltas[j] > 1e-9:
-            raise ConfigurationError("phi grid not symmetric under phi -> phi + pi")
-        p_partner[i] = j
+    """Index maps realizing alpha -> pi - alpha and phi -> phi + pi on the grid.
+
+    Node i of the n_a alphas sits at pi*i/(n_a - 1) and node j of the n_p
+    phis at 2*pi*j/(n_p - 1), so phi + pi is a node only for odd n_p; phi
+    nodes 0 and n_p - 1 are the same angle.
+    """
+    periods = grid.phi_points - 1
+    if periods % 2:
+        raise ConfigurationError("phi grid not symmetric under phi -> phi + pi")
+    a_partner = np.arange(grid.alpha_points)[::-1]
+    p_partner = (np.arange(grid.phi_points) + periods // 2) % periods
     return a_partner, p_partner
 
 
@@ -160,9 +155,10 @@ def symmetry_residual(table: SweepTable) -> float:
 
     Eta pairs with either side undefined are skipped.  The eta pairs are
     compared in cross-multiplied form |w*q_m' - w'*q_m| (normalized by the
-    larger product and the energy scale): a direct eta difference divides by
-    the fuel, whose zero curve amplifies roundoff without bound, while the
-    cross form carries the identical symmetry content.
+    larger product and at least 1, the squared energy unit): a direct eta
+    difference divides by the fuel, whose zero curve amplifies roundoff
+    without bound, while the cross form carries the identical symmetry
+    content.
     """
     a_partner, p_partner = _partner_indices(table.grid)
     n_p = table.grid.phi_points
@@ -175,8 +171,7 @@ def symmetry_residual(table: SweepTable) -> float:
     residual = float(np.abs(w - w_m).max())
     both = ~np.isnan(eta) & ~np.isnan(eta_m)
     if both.any():
-        hw2 = table.grid.base.hbar_omega ** 2
-        scale = np.maximum(hw2, np.maximum(np.abs(w * q_m_m), np.abs(w_m * q_m)))
+        scale = np.maximum(1.0, np.maximum(np.abs(w * q_m_m), np.abs(w_m * q_m)))
         cross = np.abs(w * q_m_m - w_m * q_m) / scale
         residual = max(residual, float(cross[both].max()))
     return residual

@@ -65,7 +65,7 @@ def suite_unitarity(rng: np.random.Generator, samples: int = 2000) -> SuiteResul
 
 def suite_propagator_error(omega_tau: float, steps: int) -> SuiteResult:
     # conservative a-priori bound for the midpoint product on this drive
-    bound = 10.0 / steps**2
+    bound = TOL.propagator_error / steps**2
     worst = 0.0
     for seg in (Segment.I, Segment.II):
         spec = DriveSpec(tau=omega_tau, segment=seg)
@@ -84,11 +84,12 @@ def suite_convergence(omega_tau: float) -> SuiteResult:
         est = convergence_order(DriveSpec(tau=omega_tau, segment=seg),
                                 [8, 16, 32, 64, 128, 256, 512])
         if est.indeterminate:
-            return SuiteResult("convergence_order", False, float("nan"), 0.2,
+            return SuiteResult("convergence_order", False, float("nan"),
+                               TOL.convergence_order,
                                detail="order indeterminate (errors at floor)")
         worst = max(worst, abs(est.order - 2.0))
-    return SuiteResult("convergence_order", worst <= 0.2, worst, 0.2,
-                       detail="|order - 2| on both segments")
+    return SuiteResult("convergence_order", worst <= TOL.convergence_order, worst,
+                       TOL.convergence_order, detail="|order - 2| on both segments")
 
 
 def suite_measurement_channel(
@@ -127,6 +128,16 @@ def _worst(values: np.ndarray, start: float) -> float:
     return float(np.fmax.reduce(values, initial=start))
 
 
+def _sample_suite(name: str, worst: float, bound: float, eligible: int,
+                  samples: int) -> SuiteResult:
+    """Passes when ``worst`` is within ``bound`` and at least one of the
+    ``samples`` was eligible: a suite that checked nothing does not pass."""
+    if eligible == 0:
+        return SuiteResult(name, False, worst, bound,
+                           detail=f"no eligible sample (0 of {samples})")
+    return SuiteResult(name, worst <= bound, worst, bound)
+
+
 def cycle_identity_suites(
     rng: np.random.Generator, samples: int = 2000, steps: int = 256
 ) -> list[SuiteResult]:
@@ -135,9 +146,10 @@ def cycle_identity_suites(
     one shared random parameter sample, evaluated as one batch.
 
     A sample with violated cycle invariants contributes its worst violation
-    to the first-law suite and is left out of the others.  The identities
-    are exact for any unitary pair, so a moderate step count is enough;
-    residuals do not depend on the integration error.
+    to the first-law suite and is left out of the others.  A suite left with
+    no eligible sample fails.  The identities are exact for any unitary
+    pair, so a moderate step count is enough; residuals do not depend on
+    the integration error.
     """
     alpha, phi, omega_tau, beta = rng.uniform(
         [0.0, 0.0, 0.001, 0.1], [math.pi, 2.0 * math.pi, 10.0, 10.0], size=(samples, 4)).T
@@ -158,15 +170,16 @@ def cycle_identity_suites(
     bounds = _worst(np.fmax(-eta, eta - 1.0), -math.inf)
     pr = rows[(rows["zeta"] > 1e-6) & (rows["gamma"] > 1e-6)]
     inequality = _worst(2.0 - (1.0 / pr["zeta"] + 1.0 / pr["gamma"]), -math.inf)
+    n, n_ok = len(ok), len(rows)
     return [
-        SuiteResult("first_law", first_law <= TOL.first_law, first_law, TOL.first_law),
-        SuiteResult("kelvin", kelvin <= TOL.kelvin, kelvin, TOL.kelvin),
-        SuiteResult("entropy_equalities", entropy <= TOL.entropy_equality,
-                    entropy, TOL.entropy_equality),
-        SuiteResult("analytic_vs_oracle", analytic <= TOL.analytic, analytic, TOL.analytic),
-        SuiteResult("efficiency_forms", eta_forms <= TOL.eta_forms, eta_forms, TOL.eta_forms),
-        SuiteResult("efficiency_bounds", bounds <= TOL.probability, bounds, TOL.probability),
-        SuiteResult("transition_inequality", inequality <= 1e-9, inequality, 1e-9),
+        _sample_suite("first_law", first_law, TOL.first_law, n, n),
+        _sample_suite("kelvin", kelvin, TOL.kelvin, n_ok, n),
+        _sample_suite("entropy_equalities", entropy, TOL.entropy_equality, n_ok, n),
+        _sample_suite("analytic_vs_oracle", analytic, TOL.analytic, n_ok, n),
+        _sample_suite("efficiency_forms", eta_forms, TOL.eta_forms, n_ok, n),
+        _sample_suite("efficiency_bounds", bounds, TOL.probability, len(eta), n),
+        _sample_suite("transition_inequality", inequality, TOL.transition_inequality,
+                      len(pr), n),
     ]
 
 

@@ -131,7 +131,7 @@ def test_sweep_with_every_row_flagged_reports_null_extrema(tmp_path, capsys, mon
     real_measure = measurement.measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
-    def purifying_measure(rho, basis, tol=None, rehermitize=True):
+    def purifying_measure(rho, basis, rehermitize=True):
         post, probs = real_measure(rho, basis)
         return 0.0 * post + ground, probs
 
@@ -209,6 +209,17 @@ def test_verify_passes_with_trimmed_samples(capsys):
     for suite in ("kelvin", "transition_inequality"):
         line = next(line for line in out.splitlines() if f"] {suite}:" in line)
         assert float(line.split("max residual ")[1].split()[0]) < 0.0
+
+
+def test_verify_fails_a_suite_with_no_eligible_sample(capsys):
+    # the one sample at the default seed has no positive work output, so
+    # the efficiency bounds had nothing to check
+    rc, out, _ = run_cli([
+        "verify", "--samples", "1", "--grid-alpha-points", "9",
+        "--grid-phi-points", "9"], capsys)
+    assert rc == 2
+    assert ("[FAIL] efficiency_bounds: max residual -inf (tol 1.0e-12)"
+            " - no eligible sample (0 of 1)") in out.splitlines()
 
 
 def test_verify_passes_at_minimal_step_count(capsys):

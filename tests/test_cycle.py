@@ -30,8 +30,7 @@ T0 = math.tanh(0.5)
 
 
 def identity_engine(beta=1.0):
-    return CycleEngine(default_params(), u_override=IDENTITY.copy(),
-                       v_override=IDENTITY.copy())
+    return CycleEngine(default_params(), propagators=(IDENTITY.copy(), IDENTITY.copy()))
 
 
 def test_commuting_basis_gives_no_fuel(default_engine):
@@ -313,7 +312,7 @@ def test_invariant_violation_carries_residuals(monkeypatch):
     real_measure = measurement.measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
-    def bad_measure(rho, basis, tol=None, rehermitize=True):
+    def bad_measure(rho, basis, rehermitize=True):
         post, probs = real_measure(rho, basis)
         return 0.05 * post + 0.95 * ground, probs
 

@@ -52,7 +52,7 @@ def node_batches(draw):
 def oracle_engine(omega_tau, beta):
     u, v = closed_form_u(omega_tau), closed_form_v(omega_tau)
     return CycleEngine(EngineParams(omega_tau=omega_tau, beta_hbar_omega=beta),
-                       u_override=u, v_override=v)
+                       propagators=(u, v))
 
 
 @given(engines, node_batches())

@@ -15,6 +15,7 @@ from qmeter import (
     symmetry_residual,
 )
 from qmeter.propagator import DriveSpec, Segment, time_ordered_propagator
+from qmeter.sweep import _partner_indices
 
 from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, default_params
 
@@ -112,7 +113,7 @@ def test_optima_under_adjoint_propagators():
     u = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.I), 4096).u
     ud = u.conj().T
     params = EngineParams(omega_tau=omega_tau, beta_hbar_omega=1.0, steps=4096)
-    engine = CycleEngine(params, u_override=ud, v_override=ud)
+    engine = CycleEngine(params, propagators=(ud, ud))
     table = grid_sweep(GridSpec(base=params, alpha_points=129, phi_points=129), engine)
 
     w = locate_extrema(table, Objective.MAX_W_EXT, engine)
@@ -137,7 +138,7 @@ def test_bad_nodes_are_flagged_and_sweep_completes(monkeypatch):
     real_measure = measurement.measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
-    def bad_measure(rho, basis, tol=None, rehermitize=True):
+    def bad_measure(rho, basis, rehermitize=True):
         post, probs = real_measure(rho, basis)
         return 0.05 * post + 0.95 * ground, probs
 
@@ -174,6 +175,23 @@ def test_symmetry_rejects_asymmetric_grid():
     table = grid_sweep(GridSpec(base=params, alpha_points=5, phi_points=4))
     with pytest.raises(ConfigurationError):
         symmetry_residual(table)
+
+
+@pytest.mark.parametrize("alpha_points", [3, 4, 9, 10, 257, 258])
+@pytest.mark.parametrize("phi_points", [3, 5, 9, 129, 257, 401])
+def test_partner_indices_realise_the_symmetry_map(alpha_points, phi_points):
+    grid = GridSpec(base=default_params(), alpha_points=alpha_points, phi_points=phi_points)
+    a_partner, p_partner = _partner_indices(grid)
+    alphas, phis = grid.alphas(), grid.phis()
+    assert np.abs(alphas[a_partner] - (math.pi - alphas)).max() <= 1e-9
+    assert max(wrap_dist(p, q + math.pi) for p, q in zip(phis[p_partner], phis)) <= 1e-9
+
+
+@pytest.mark.parametrize("phi_points", [4, 6, 10, 256])
+def test_partner_indices_reject_even_phi_counts(phi_points):
+    grid = GridSpec(base=default_params(), alpha_points=9, phi_points=phi_points)
+    with pytest.raises(ConfigurationError, match="phi grid not symmetric"):
+        _partner_indices(grid)
 
 
 def test_eta_peak_sits_in_low_entropy_region(default_table, default_engine):

@@ -54,8 +54,8 @@ def test_batched_suites_match_the_per_sample_loop(monkeypatch, faulty):
         real_measure = measurement.measure
         ground = np.outer([0, 1], [0, 1]).astype(complex)
 
-        def purifying_measure(rho, basis, tol=TOL, rehermitize=True):
-            post, probs = real_measure(rho, basis, tol)
+        def purifying_measure(rho, basis, rehermitize=True):
+            post, probs = real_measure(rho, basis, rehermitize)
             return np.where((basis.alpha < 1.0)[..., None, None], ground, post), probs
 
         monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
@@ -64,3 +64,21 @@ def test_batched_suites_match_the_per_sample_loop(monkeypatch, faulty):
     assert {r.name: r.max_residual for r in results} == expected
     first_law = next(r for r in results if r.name == "first_law")
     assert first_law.passed is not faulty
+
+
+def test_suites_with_no_eligible_sample_fail(monkeypatch):
+    # a pure post-measurement state lowers the entropy at every node, so
+    # every sample is flagged and only the first-law suite sees any
+    ground = np.outer([0, 1], [0, 1]).astype(complex)
+    real_measure = measurement.measure
+
+    def purifying_measure(rho, basis, rehermitize=True):
+        post, probs = real_measure(rho, basis, rehermitize)
+        return 0.0 * post + ground, probs
+
+    monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
+    results = cycle_identity_suites(np.random.default_rng(3), samples=20, steps=STEPS)
+    for r in results:
+        assert not r.passed, r.name
+        if r.name != "first_law":
+            assert r.detail == "no eligible sample (0 of 20)", r.name
