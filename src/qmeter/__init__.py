@@ -9,23 +9,18 @@ extracted work, efficiency and measurement entropy change.
 """
 
 from .cycle import (
-    AnalyticEnergetics,
     CycleEngine,
-    CycleRecord,
     EngineParams,
     TransitionProbs,
     analytic_energetics,
-    crosscheck,
     occupation_deltas,
     run_cycle,
     transition_probabilities,
 )
 from .errors import ConfigurationError, InvariantViolation, ValidationError
-from .measurement import MeasurementBasis, basis_kets, measure
+from .measurement import basis_kets, measure
 from .propagator import (
-    ConvergenceEstimate,
     DriveSpec,
-    PropagatorResult,
     Segment,
     convergence_order,
     driving_hamiltonian,
@@ -39,10 +34,8 @@ from .qubit_algebra import (
     von_neumann_entropy,
 )
 from .sweep import (
-    Extremum,
     GridSpec,
     Objective,
-    SweepTable,
     grid_sweep,
     locate_extrema,
     slice_profile,
@@ -53,29 +46,21 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticEnergetics",
     "ConfigurationError",
-    "ConvergenceEstimate",
     "CycleEngine",
-    "CycleRecord",
     "DEFAULT_TOLERANCES",
     "DriveSpec",
     "EngineParams",
-    "Extremum",
     "GridSpec",
     "InvariantViolation",
-    "MeasurementBasis",
     "Objective",
-    "PropagatorResult",
     "Segment",
-    "SweepTable",
     "Tolerances",
     "TransitionProbs",
     "ValidationError",
     "analytic_energetics",
     "basis_kets",
     "convergence_order",
-    "crosscheck",
     "driving_hamiltonian",
     "expectation",
     "gibbs_state",

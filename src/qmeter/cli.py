@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams, crosscheck, run_cycle
+from .cycle import CycleEngine, EngineParams, run_cycle
 from .errors import ConfigurationError, InvariantViolation, ValidationError
 from .sweep import (
     GridSpec,
@@ -85,6 +85,8 @@ class RunConfig:
             )
         if isinstance(self.beta, float) and not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigurationError("beta must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     def omega_tau(self) -> float:
         omega = self.hbar_omega_pev * 1e-12 / HBAR_EV_S  # rad/s
@@ -197,10 +199,9 @@ def write_slice_csv(profile: np.ndarray, path: Path) -> None:
 
 
 def _record_pairs(record) -> list[tuple[str, str]]:
-    report = crosscheck(record)
     pairs = [
-        ("alpha", fmt(record.alpha)),
-        ("phi", fmt(record.phi)),
+        ("alpha", fmt(record.row["alpha"][0])),
+        ("phi", fmt(record.row["phi"][0])),
         ("omega_tau", fmt(record.params.omega_tau)),
         ("beta_hbar_omega", fmt(record.params.beta_hbar_omega)),
         ("steps", str(record.params.steps)),
@@ -214,8 +215,8 @@ def _record_pairs(record) -> list[tuple[str, str]]:
         ("delta", fmt(record.probs.delta)),
         ("gamma", fmt(record.probs.gamma)),
     ]
-    pairs.extend((f"residual_{k}", fmt(v)) for k, v in sorted(report.residuals.items()))
-    pairs.append(("residual_max", fmt(report.max_residual)))
+    pairs.extend((f"residual_{k}", fmt(v)) for k, v in sorted(record.residuals.items()))
+    pairs.append(("residual_max", fmt(max(record.residuals.values()))))
     return pairs
 
 
@@ -402,7 +403,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, ValidationError) as exc:
+    # a size too large to allocate is a configuration error as well
+    except (ConfigurationError, ValidationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -2,8 +2,8 @@
 
 The trace definitions (energies as Tr(rho H) differences along the strokes)
 are the ground truth.  The closed-form expressions in terms of transition
-probabilities are a derived view; ``crosscheck`` reports the residuals
-between the two so every run doubles as a self-test.
+probabilities are a derived view; every ``CycleRecord`` carries the
+residuals between the two, so every run doubles as a self-test.
 
 Sign bookkeeping: ``w`` is the net work done ON the working substance by the
 external agent; the engine delivers ``w_ext = -w``.  Energies are in units
@@ -13,7 +13,8 @@ trace path.
 
 ``CycleEngine.evaluate_nodes`` evaluates both paths for a whole array of
 measurement angles at once, on (M, 2, 2) density-matrix stacks and (M,)
-probability arrays; a single node is a batch of one.  ``evaluate_samples``
+probability arrays; a single node is a batch of one, and the kernel's
+``CycleRecord`` is what ``evaluate`` returns.  ``evaluate_samples``
 runs the same kernel on engine state with a leading sample axis, one drive
 duration, temperature and node per sample.
 """
@@ -103,14 +104,6 @@ class TransitionProbs:
     delta: float
     gamma: float
 
-    def __post_init__(self):
-        tol = TOL.probability
-        p = np.array([self.xi, self.zeta, self.delta, self.gamma], dtype=float)
-        if not (p.min() >= -tol and p.max() <= 1.0 + tol):  # NaN fails both
-            where = tuple(np.argwhere(~((-tol <= p) & (p <= 1.0 + tol)))[0])
-            name = ("xi", "zeta", "delta", "gamma")[where[0]]
-            raise ValidationError(f"{name}={float(p[where])!r} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class AnalyticEnergetics:
@@ -123,12 +116,16 @@ class AnalyticEnergetics:
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Everything one cycle evaluation produced, both paths included."""
+    """Everything the node kernel produced, both paths included.
 
-    params: EngineParams  # the engine's; the node is (alpha, phi)
-    alpha: float
-    phi: float
-    row: np.ndarray = field(repr=False)  # the node's ROW_DTYPE row, shape (1,)
+    Scalars for a single node and one value per node for a block; the
+    engine's own state (rho1, rho2, w1, s1, s2) keeps its sample axis, if
+    any.  ``checks`` maps each flagged invariant to its values and the bound
+    they must not exceed.
+    """
+
+    params: EngineParams | None  # the engine's; None for a sample engine
+    row: np.ndarray = field(repr=False)  # ROW_DTYPE rows, with the node angles
     rho1: np.ndarray = field(repr=False)
     rho2: np.ndarray = field(repr=False)
     rho3: np.ndarray = field(repr=False)
@@ -144,13 +141,10 @@ class CycleRecord:
     s3: float
     s4: float
     d_s: float
-    dp1: float
-    dp2: float
-    dp3: float
-    dp4: float
     probs: TransitionProbs
     analytic: AnalyticEnergetics
     residuals: dict[str, float]
+    checks: dict[str, tuple[float, float]] = field(repr=False)
 
     @property
     def w_ext(self) -> float:
@@ -162,18 +156,9 @@ class CycleRecord:
 
 
 @dataclass(frozen=True)
-class CrosscheckReport:
-    residuals: dict[str, float]
-    max_residual: float
-
-
-@dataclass(frozen=True)
 class SampleBatch:
-    """What ``evaluate_samples`` returns, one entry per sample.
-
-    ``residuals`` has the keys of ``CycleRecord.residuals``; ``checks`` maps
-    each flagged invariant to its values and the bound they must not exceed.
-    """
+    """What ``evaluate_samples`` returns: the rows, ``residuals`` and
+    ``checks`` of ``CycleRecord``, one entry per sample."""
 
     rows: np.ndarray = field(repr=False)  # ROW_DTYPE
     residuals: dict[str, np.ndarray] = field(repr=False)
@@ -210,8 +195,9 @@ def transition_probabilities(
     initial eigenstate under v.  delta is the overlap of chi2 with the ground
     eigenstate of the mid-cycle Hamiltonian, taken directly (no propagator):
     only this choice makes the closed-form energetics agree with the trace
-    path identically, which the crosscheck enforces at 1e-8.  A basis with
-    a node axis gives one value per node.
+    path identically, which the residuals of every ``CycleRecord`` measure
+    (the tests hold them to 1e-8).  A basis with a node axis gives one value
+    per node.
     """
     u = require_unitary(u, "u")
     v = require_unitary(v, "v")
@@ -244,7 +230,7 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
     worst = max(np.abs(to_basis[0] + to_basis[1] - 1.0).max(),
                 np.abs(xi + xi_rest - 1.0).max(),
                 np.abs(v_chi1[..., 0] + v_chi1[..., 1] - 1.0).max())
-    if worst > TOL.probability:
+    if not worst <= TOL.probability:  # NaN fails too
         raise ValidationError(f"transition probabilities not complete (residual {worst:.3e})")
     return TransitionProbs(xi=np.full(np.shape(zeta), xi)[()], zeta=zeta, delta=delta,
                            gamma=gamma)
@@ -367,20 +353,9 @@ class CycleEngine:
         A batch of one through the same kernel as ``evaluate_nodes``, with
         no node axis, so the per-node arithmetic runs on numpy scalars.
         """
-        row = np.empty(1, dtype=ROW_DTYPE)
-        n = self._evaluate_block(alpha, phi, row)
-        violations = {name: float(value) for name, (value, bound) in n["checks"].items()
+        record = self._evaluate_block(alpha, phi, np.empty(1, dtype=ROW_DTYPE))
+        violations = {name: float(value) for name, (value, bound) in record.checks.items()
                       if value > bound}
-        dp1, dp2, dp3, dp4 = n["analytic"].dp
-        record = CycleRecord(
-            params=self.params, alpha=alpha, phi=phi, row=row,
-            rho1=self.rho1, rho2=self.rho2, rho3=n["rho3"], rho4=n["rho4"],
-            w1=self.e2 - self.e1, s1=self.s1, s2=self.s2,
-            **{k: float(n[k]) for k in ("w2", "q_m", "q_t", "w", "eta", "s3", "s4", "d_s")},
-            dp1=dp1, dp2=float(dp2), dp3=float(dp3), dp4=float(dp4),
-            probs=n["probs"], analytic=n["analytic"],
-            residuals={k: float(v) for k, v in n["residuals"].items()},
-        )
         return record, violations
 
     def evaluate_nodes(self, alphas, phis) -> np.ndarray:
@@ -399,13 +374,12 @@ class CycleEngine:
             self._evaluate_block(alphas[block], phis[block], rows[block])
         return rows
 
-    def _evaluate_block(self, alphas, phis, out: np.ndarray) -> dict:
+    def _evaluate_block(self, alphas, phis, out: np.ndarray) -> CycleRecord:
         """Both energetics paths for a block of nodes, written into ``out``.
 
         ``alphas`` and ``phis`` are 1-D arrays, or scalars for a single
-        node.  Returns the per-node intermediates, including ``checks``:
-        for each flagged invariant its value and the bound it must not
-        exceed.  Checks outside that set raise, as they do for one node.
+        node.  Returns the block's record, whose ``checks`` are the flagged
+        invariants; checks outside that set raise, as they do for one node.
         """
         basis = basis_kets(alphas, phis)
 
@@ -421,7 +395,7 @@ class CycleEngine:
         q_t = self.e1 - e4
         w = w1 + w2
         fueled = q_m > TOL.fuel
-        eta = _ratio(-w, q_m, fueled)
+        eta = _ratio(-w, q_m, fueled)[()]
         d_s = s3 - self.s2
 
         # closed-form path, from the transition probabilities alone
@@ -458,9 +432,11 @@ class CycleEngine:
             out[name] = getattr(probs, name)
         out["ok"] = np.logical_not(
             functools.reduce(np.logical_or, (v > b for v, b in checks.values())))
-        return {"rho3": rho3, "rho4": rho4, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w,
-                "eta": eta, "s3": s3, "s4": s4, "d_s": d_s, "probs": probs,
-                "analytic": analytic, "residuals": residuals, "checks": checks}
+        return CycleRecord(
+            params=self.params, row=out, rho1=self.rho1, rho2=self.rho2, rho3=rho3,
+            rho4=rho4, w1=w1, w2=w2, q_m=q_m, q_t=q_t, w=w, eta=eta, s1=self.s1,
+            s2=self.s2, s3=s3, s4=s4, d_s=d_s, probs=probs, analytic=analytic,
+            residuals=residuals, checks=checks)
 
 
 def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch:
@@ -480,16 +456,16 @@ def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch
         raise ValidationError("evaluate_samples needs at least one sample")
     _check_engine_inputs(omega_taus, betas, steps)
     rows = np.empty(omega_taus.size, dtype=ROW_DTYPE)
-    blocks = []
+    blocks = []  # (residuals, checks) of each block's record
     for start in range(0, omega_taus.size, NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
         pairs = drive_propagators(omega_taus[block], steps)
         engine = CycleEngine._for_samples(pairs[:, 0], pairs[:, 1], betas[block])
-        blocks.append(engine._evaluate_block(alphas[block], phis[block], rows[block]))
-    residuals = {name: np.concatenate([b["residuals"][name] for b in blocks])
-                 for name in blocks[0]["residuals"]}
-    checks = {name: (np.concatenate([b["checks"][name][0] for b in blocks]), bound)
-              for name, (_, bound) in blocks[0]["checks"].items()}
+        record = engine._evaluate_block(alphas[block], phis[block], rows[block])
+        blocks.append((record.residuals, record.checks))
+    residuals = {name: np.concatenate([r[name] for r, _ in blocks]) for name in blocks[0][0]}
+    checks = {name: (np.concatenate([c[name][0] for _, c in blocks]), bound)
+              for name, (_, bound) in blocks[0][1].items()}
     return SampleBatch(rows=rows, residuals=residuals, checks=checks)
 
 
@@ -500,11 +476,3 @@ def run_cycle(params: EngineParams) -> CycleRecord:
     fails; an undefined efficiency is a flag, not an error.
     """
     return CycleEngine(params).evaluate(params.alpha, params.phi)
-
-
-def crosscheck(record: CycleRecord) -> CrosscheckReport:
-    """Residual report between the trace oracle and the analytic path."""
-    keys = ("w", "q_m", "q_t", "eta", "first_law",
-            "entropy_12", "entropy_34", "entropy_thermalization")
-    residuals = {k: record.residuals[k] for k in keys}
-    return CrosscheckReport(residuals=residuals, max_residual=max(residuals.values()))

@@ -16,7 +16,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .qubit_algebra import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
-    hermitian_expm,
     unitarity_residual,
 )
 
@@ -159,27 +158,11 @@ def drive_propagators(taus: np.ndarray, steps: int,
     return out
 
 
-def time_ordered_propagator(
-    spec: DriveSpec,
-    steps: int,
-    hamiltonian: Callable[[float], np.ndarray] | None = None,
-) -> PropagatorResult:
-    """Midpoint-product propagator over one segment, latest factor leftmost.
-
-    ``hamiltonian`` is a test hook: when given, it replaces the drive with an
-    arbitrary H(t) (in units of hbar_omega) evaluated at the step midpoints.
-    """
+def time_ordered_propagator(spec: DriveSpec, steps: int) -> PropagatorResult:
+    """Midpoint-product propagator over one segment, latest factor leftmost."""
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ConfigurationError("steps must be an integer >= 2")
-    if hamiltonian is None:
-        u = drive_propagators(np.array([spec.tau]), steps, (spec.segment,))[0, 0]
-    else:
-        lo, _ = spec.time_window()
-        dt = spec.tau / steps
-        factors = np.empty((steps, 2, 2), dtype=complex)
-        for j in range(steps):
-            factors[j] = hermitian_expm(hamiltonian(lo + (j + 0.5) * dt), dt)
-        u = _ordered_product(factors)
+    u = drive_propagators(np.array([spec.tau]), steps, (spec.segment,))[0, 0]
     return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
 
 
@@ -191,25 +174,20 @@ class ConvergenceEstimate:
     indeterminate: bool
 
 
-def convergence_order(
-    spec: DriveSpec,
-    n_list: Sequence[int],
-    reference_steps: int = REFERENCE_STEPS,
-    hamiltonian: Callable[[float], np.ndarray] | None = None,
-) -> ConvergenceEstimate:
+def convergence_order(spec: DriveSpec, n_list: Sequence[int]) -> ConvergenceEstimate:
     """Empirical order: least-squares slope of log(error) against log(N).
 
-    Errors are entrywise deviations from the high-N reference propagator.
+    Errors are entrywise deviations from the propagator at REFERENCE_STEPS.
     When every error sits at the roundoff floor the slope is meaningless and
     the estimate is flagged indeterminate.
     """
     ns = list(n_list)
     if len(ns) < 3 or sorted(set(ns)) != ns:
         raise ConfigurationError("n_list must be >= 3 strictly ascending step counts")
-    ref = time_ordered_propagator(spec, reference_steps, hamiltonian).u
+    ref = time_ordered_propagator(spec, REFERENCE_STEPS).u
     errors = []
     for n in ns:
-        u = time_ordered_propagator(spec, n, hamiltonian).u
+        u = time_ordered_propagator(spec, n).u
         errors.append(float(np.abs(u - ref).max()))
     usable = [(n, e) for n, e in zip(ns, errors) if e > ERROR_FLOOR]
     if len(usable) < 2:

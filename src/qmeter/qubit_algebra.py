@@ -27,8 +27,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
-# computational basis and the x eigenbasis, used throughout the cycle
-KET_UP = np.array([1, 0], dtype=complex)
+# |down> (the ground state of sigma_z) and the x eigenbasis, used by the cycle
 KET_DOWN = np.array([0, 1], dtype=complex)
 KET_PLUS_X = np.array([1, 1], dtype=complex) / math.sqrt(2)
 KET_MINUS_X = np.array([1, -1], dtype=complex) / math.sqrt(2)

@@ -304,3 +304,56 @@ def test_slice_rejects_fewer_than_one_point(tmp_path, capsys):
                           "--output", str(tmp_path / "profile.csv")], capsys)
     assert rc == 1
     assert "points must be >= 1" in err
+
+
+# about 10**15 elements: more than any address space can map, so the
+# allocation fails at once without touching memory
+@pytest.mark.parametrize("args", [
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", str(10**15)],
+    ["slice", "--fixed-phi", "1.0", "--points", str(10**15)],
+    ["verify", "--samples", str(10**15), "--grid-alpha-points", "5", "--grid-phi-points", "5"],
+    ["sweep", "--grid-alpha-points", str(10**15), "--grid-phi-points", "3"],
+], ids=["run", "slice", "verify", "sweep"])
+def test_sizes_too_large_for_memory_are_config_errors(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(args, capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, source):
+    args = ["verify", "--samples", "5", "--grid-alpha-points", "5", "--grid-phi-points", "5"]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    elif source == "config":
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -2\n")
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("QMETER_SEED", "-3")
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 1
+    assert "seed must be >= 0" in err
+    assert "PASS" not in out
+
+
+def test_run_record_keys_and_csv_row(tmp_path, capsys):
+    row_csv = tmp_path / "row.csv"
+    rc, out, _ = run_cli(["run", "--alpha-rad", "1.39", "--phi-rad", "2.05",
+                          "--csv", str(row_csv)], capsys)
+    assert rc == 0
+    pairs = [line.split("=", 1) for line in out.strip().splitlines()]
+    keys = [key for key, _ in pairs]
+    residual_keys = sorted(f"residual_{name}" for name in (
+        "entropy_12", "entropy_34", "entropy_thermalization", "eta", "first_law",
+        "q_m", "q_t", "w"))
+    assert keys == ["alpha", "phi", "omega_tau", "beta_hbar_omega", "steps", "w_ext",
+                    "q_m", "q_t", "eta", "ds", "xi", "zeta", "delta", "gamma",
+                    *residual_keys, "residual_max"]
+    record = dict(pairs)
+    assert float(record["residual_max"]) == max(float(record[k]) for k in residual_keys)
+    header, row = row_csv.read_text().splitlines()
+    assert header == CSV_HEADER
+    for name, token in zip(header.split(","), row.split(",")):
+        assert token == record[name], name
