@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -47,17 +47,9 @@ CSV_BLOCK = 512  # rows formatted per write
 
 BETA_TOKEN = "inverse_hbar_omega"
 
-_CONFIG_KEYS = {
-    "hbar_omega_pev": float,
-    "tau_us": float,
-    "beta": str,
-    "alpha_rad": float,
-    "phi_rad": float,
-    "steps": int,
-    "grid.alpha_points": int,
-    "grid.phi_points": int,
-    "seed": int,
-}
+# the options shared by every command; each is also a config file key
+CONFIG_KEYS = ("hbar_omega_pev", "tau_us", "beta", "alpha_rad", "phi_rad", "steps",
+               "grid.alpha_points", "grid.phi_points", "seed")
 
 
 @dataclass
@@ -107,34 +99,29 @@ class RunConfig:
         )
 
 
-def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Flat key=value lines; '#' starts a comment, blank lines are skipped."""
-    values: dict[str, object] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _flag(key: str) -> str:
+    return "--" + key.replace(".", "-").replace("_", "-")
+
+
+def parse_config_file(path: str | Path) -> list[str]:
+    """Flat key=value lines as ``--flag=value`` tokens, which parse exactly
+    like the flags; '#' starts a comment, blank lines are skipped."""
+    tokens = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        try:
-            values[key] = caster(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return values
+        # the '=' form keeps a value such as -1e-3 from reading as a flag
+        tokens.append(f"{_flag(key)}={value}")
+    return tokens
 
 
-def _coerce_beta(raw: object) -> str | float:
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    text = str(raw)
+def _coerce_beta(text: str) -> str | float:
     if text == BETA_TOKEN:
         return text
     try:
@@ -145,28 +132,16 @@ def _coerce_beta(raw: object) -> str | float:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config file, then flags; seed falls back to the env var."""
-    config = RunConfig()
-    seed_given = False
-    if args.config:
-        for key, value in parse_config_file(args.config).items():
-            attr = key.replace("grid.", "grid_")
-            setattr(config, attr, _coerce_beta(value) if key == "beta" else value)
-            seed_given |= key == "seed"
-    for attr in ("hbar_omega_pev", "tau_us", "beta", "alpha_rad", "phi_rad",
-                 "steps", "grid_alpha_points", "grid_phi_points", "seed"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, attr, _coerce_beta(value) if attr == "beta" else value)
-            seed_given |= attr == "seed"
-    if not seed_given:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                config.seed = int(env_seed)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from None
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if "seed" not in given and env_seed is not None:
+        try:
+            given["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigurationError(
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
+            ) from None
+    config = RunConfig(**given)
     config.validate()
     return config
 
@@ -247,10 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_config(args)
     objectives = _parse_objectives(args.objectives)
     out_dir = Path(args.output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     params = config.engine_params()
     grid = GridSpec(base=params, alpha_points=config.grid_alpha_points,
@@ -287,11 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     csv_path = out_dir / "sweep.csv"
     summary_path = out_dir / "summary.json"
-    try:
-        write_table_csv(table, csv_path)
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write output: {exc}") from exc
+    write_table_csv(table, csv_path)
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {csv_path} ({table.rows.shape[0]} rows) and {summary_path}")
     return 0
 
@@ -304,26 +273,19 @@ def cmd_slice(args: argparse.Namespace) -> int:
     value = args.fixed_alpha if fixed == "alpha" else args.fixed_phi
     profile = slice_profile(config.engine_params(), fixed, value, points=args.points)
     path = Path(args.output)
-    try:
-        write_slice_csv(profile, path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write output: {exc}") from exc
+    write_slice_csv(profile, path)
     print(f"wrote {path} ({len(profile)} rows)")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = build_config(args)
-    grid_points = (
-        args.grid_alpha_points if args.grid_alpha_points is not None else 129,
-        args.grid_phi_points if args.grid_phi_points is not None else 129,
-    )
     rehermitize = args.inject_fault != "skip-rehermitize"
     results = run_all_suites(
         config.engine_params(),
         seed=config.seed,
         samples=args.samples,
-        grid_points=grid_points,
+        grid_points=(config.grid_alpha_points, config.grid_phi_points),
         rehermitize=rehermitize,
     )
     print(f"seed={config.seed}")
@@ -346,17 +308,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--hbar-omega-pev", dest="hbar_omega_pev", type=float)
-    parser.add_argument("--tau-us", dest="tau_us", type=float)
-    parser.add_argument("--beta", dest="beta",
-                        help=f"inverse temperature in 1/peV, or {BETA_TOKEN!r}")
-    parser.add_argument("--alpha-rad", dest="alpha_rad", type=float)
-    parser.add_argument("--phi-rad", dest="phi_rad", type=float)
-    parser.add_argument("--steps", dest="steps", type=int)
-    parser.add_argument("--grid-alpha-points", dest="grid_alpha_points", type=int)
-    parser.add_argument("--grid-phi-points", dest="grid_phi_points", type=int)
-    parser.add_argument("--seed", dest="seed", type=int,
-                        help=f"RNG seed (alternative: ${SEED_ENV_VAR})")
+    helps = {"beta": f"inverse temperature in 1/peV, or {BETA_TOKEN!r}",
+             "seed": f"RNG seed (alternative: ${SEED_ENV_VAR})"}
+    # an option not given stays out of the namespace: the defaults live in RunConfig
+    for key in CONFIG_KEYS:
+        kind = int if key in ("steps", "seed") or key.startswith("grid.") else float
+        parser.add_argument(_flag(key), dest=key.replace(".", "_"), default=argparse.SUPPRESS,
+                            type=_coerce_beta if key == "beta" else kind, help=helps.get(key))
 
 
 def build_parser() -> _Parser:
@@ -388,7 +346,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--samples", type=int, default=2000)
     p_verify.add_argument("--inject-fault", choices=["skip-rehermitize"],
                           help="testing hook: disable a safeguard and expect FAIL")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, grid_alpha_points=129, grid_phi_points=129)
     return parser
 
 
@@ -400,11 +358,20 @@ def _shared_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _shared_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.config:
+            # file tokens right after the command, so the flags come later and win
+            tokens = parse_config_file(args.config)
+            try:
+                args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+            except ConfigurationError as exc:  # argv alone parsed, so the file is at fault
+                raise ConfigurationError(f"{args.config}: {exc}") from None
         return args.func(args)
-    # a size too large to allocate is a configuration error as well
-    except (ConfigurationError, ValidationError, MemoryError) as exc:
+    # sizes too large to allocate and unusable paths are configuration errors too
+    except (ConfigurationError, ValidationError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

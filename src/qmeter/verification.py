@@ -15,7 +15,13 @@ import numpy as np
 from .cycle import EngineParams, evaluate_samples
 from .errors import ConfigurationError
 from .measurement import basis_kets, measure
-from .propagator import DriveSpec, Segment, convergence_order, time_ordered_propagator
+from .propagator import (
+    REFERENCE_STEPS,
+    DriveSpec,
+    Segment,
+    convergence_order,
+    time_ordered_propagator,
+)
 from .qubit_algebra import (
     IDENTITY,
     SIGMA_X,
@@ -51,14 +57,14 @@ def _random_state(rng: np.random.Generator) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
-def suite_unitarity(rng: np.random.Generator, samples: int = 2000) -> SuiteResult:
+def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) -> SuiteResult:
     worst = 0.0
     for _ in range(samples):
         u = hermitian_expm(_random_hermitian(rng), rng.uniform(-10.0, 10.0))
         worst = max(worst, unitarity_residual(u))
-    for n in (2, 7, 64, 1024, 65536):
+    for n in (2, 7, 64, 1024, REFERENCE_STEPS):
         for seg in (Segment.I, Segment.II):
-            res = time_ordered_propagator(DriveSpec(tau=0.015193, segment=seg), n)
+            res = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=seg), n)
             worst = max(worst, res.unitarity_residual)
     return SuiteResult("unitarity", worst <= TOL.unitarity, worst, TOL.unitarity)
 
@@ -69,12 +75,12 @@ def suite_propagator_error(omega_tau: float, steps: int) -> SuiteResult:
     worst = 0.0
     for seg in (Segment.I, Segment.II):
         spec = DriveSpec(tau=omega_tau, segment=seg)
-        ref = time_ordered_propagator(spec, 65536).u
+        ref = time_ordered_propagator(spec, REFERENCE_STEPS).u
         u = time_ordered_propagator(spec, steps).u
         worst = max(worst, float(np.abs(u - ref).max()))
     return SuiteResult(
         "propagator_error", worst <= bound, worst, bound,
-        detail=f"steps={steps} vs reference 65536",
+        detail=f"steps={steps} vs reference {REFERENCE_STEPS}",
     )
 
 
@@ -202,7 +208,7 @@ def run_all_suites(
         raise ConfigurationError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     results = [
-        suite_unitarity(rng, samples=min(samples, 2000)),
+        suite_unitarity(rng, params.omega_tau, samples=min(samples, 2000)),
         suite_propagator_error(params.omega_tau, params.steps),
         suite_convergence(params.omega_tau),
         suite_measurement_channel(rng, samples=min(samples, 400),

@@ -357,3 +357,68 @@ def test_run_record_keys_and_csv_row(tmp_path, capsys):
     assert header == CSV_HEADER
     for name, token in zip(header.split(","), row.split(",")):
         assert token == record[name], name
+
+
+def test_verify_reads_the_grid_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid.alpha_points = 5\ngrid.phi_points = 5\n")
+    trimmed = ["--samples", "5", "--config", str(cfg)]
+    rc, out, _ = run_cli(["verify", *trimmed], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(" - 5x5 grid")
+    # a flag beats the file, which beats the command's default
+    rc, out, _ = run_cli(["verify", *trimmed, "--grid-alpha-points", "9"], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(" - 9x5 grid")
+
+
+def test_config_file_value_reads_like_the_flag(tmp_path, capsys):
+    # '-0.001' after a space would read as an unknown flag, not as a value
+    cfg = tmp_path / "phi.cfg"
+    cfg.write_text("alpha_rad = 1.0\nphi_rad = -0.001\n")
+    rc, from_file, _ = run_cli(["run", "--steps", "256", "--config", str(cfg)], capsys)
+    assert rc == 0
+    rc, from_flag, _ = run_cli(["run", "--steps", "256", "--alpha-rad", "1.0",
+                                "--phi-rad=-0.001"], capsys)
+    assert rc == 0
+    assert from_file == from_flag
+    assert parse_record(from_file)["phi"] == fmt(-0.001)
+
+
+def test_bad_config_file_value_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("steps = 2.5\n")
+    rc, out, err = run_cli(["run", "--alpha-rad", "1.0", "--phi-rad", "2.0",
+                            "--config", str(cfg)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {cfg}: argument --steps: invalid int value: '2.5'\n"
+
+
+def test_seed_precedence_flag_over_file_over_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QMETER_SEED", "777")
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 55\n")
+    trimmed = ["--samples", "5", "--grid-alpha-points", "5", "--grid-phi-points", "5"]
+    rc, out, _ = run_cli(["verify", *trimmed, "--config", str(cfg)], capsys)
+    assert rc == 0 and out.startswith("seed=55\n")
+    rc, out, _ = run_cli(["verify", *trimmed, "--config", str(cfg), "--seed", "42"], capsys)
+    assert rc == 0 and out.startswith("seed=42\n")
+
+
+# every path lies under a regular file, so no directory can be made there
+@pytest.mark.parametrize("args", [
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", "256",
+     "--csv", "{blocker}/row.csv"],
+    ["slice", "--fixed-phi", "1.0", "--points", "5", "--steps", "256",
+     "--output", "{blocker}/slice.csv"],
+    ["sweep", "--grid-alpha-points", "3", "--grid-phi-points", "3", "--steps", "256",
+     "--output", "{blocker}/out"],
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--config", "{blocker}/engine.cfg"],
+], ids=["run-csv", "slice-output", "sweep-output", "config"])
+def test_unusable_paths_are_config_errors(tmp_path, capsys, args):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    rc, _, err = run_cli([arg.format(blocker=blocker) for arg in args], capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
