@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -307,6 +308,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    # argparse takes only forms like -1 and -.5 as numbers; -1e-3 would read as a flag
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("--config", help="key=value configuration file")
     helps = {"beta": f"inverse temperature in 1/peV, or {BETA_TOKEN!r}",
              "seed": f"RNG seed (alternative: ${SEED_ENV_VAR})"}

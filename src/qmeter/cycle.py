@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .measurement import MeasurementBasis, basis_kets, measure
-# time_ordered_propagator is not called here, but perfbench/tracer.py
-# patches it in this namespace
-from .propagator import drive_propagators, time_ordered_propagator  # noqa: F401
+from .propagator import drive_propagators, exact_drive_propagators
+# not called here, but perfbench/tracer.py patches it in this namespace
+from .propagator import time_ordered_propagator  # noqa: F401
 from .qubit_algebra import (
     KET_DOWN,
     KET_PLUS_X,
@@ -77,19 +77,19 @@ class EngineParams:
     steps: int = 1024
 
     def __post_init__(self):
-        _check_engine_inputs(self.omega_tau, self.beta_hbar_omega, self.steps)
+        _check_engine_inputs(self.omega_tau, self.beta_hbar_omega)
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
+            raise ValidationError("steps must be an integer >= 2")
 
 
-def _check_engine_inputs(omega_tau, beta_hbar_omega, steps) -> None:
-    """The rules of EngineParams; omega_tau and beta_hbar_omega may also be
-    arrays with one value per sample."""
+def _check_engine_inputs(omega_tau, beta_hbar_omega) -> None:
+    """The rules of EngineParams for the drive and the temperature, which
+    may also be arrays with one value per sample."""
     if not np.all(np.isfinite(omega_tau) & (np.asarray(omega_tau) > 0.0)):
         raise ValidationError("omega_tau must be finite and > 0")
     # beta = 0 (infinite temperature) is a legitimate degenerate input
     if not np.all(np.isfinite(beta_hbar_omega) & (np.asarray(beta_hbar_omega) >= 0.0)):
         raise ValidationError("beta_hbar_omega must be finite and >= 0")
-    if not isinstance(steps, numbers.Integral) or steps < 2:
-        raise ValidationError("steps must be an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class SampleBatch:
 
 @functools.lru_cache(maxsize=32)
 def _propagator_pair(omega_tau: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    u, v = drive_propagators(np.array([omega_tau]), steps)[0]
+    u, v = drive_propagators(omega_tau, steps)
     u.setflags(write=False)
     v.setflags(write=False)
     return u, v
@@ -439,27 +439,27 @@ class CycleEngine:
             residuals=residuals, checks=checks)
 
 
-def evaluate_samples(omega_taus, betas, alphas, phis, steps: int) -> SampleBatch:
-    """Evaluate one cycle per sample k: drive duration omega_taus[k], inverse
-    temperature betas[k] (as beta*hbar_omega) and node (alphas[k], phis[k]).
+def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
+    """Evaluate one cycle per sample k: the exact propagators of duration
+    omega_taus[k], betas[k] as beta*hbar_omega and node (alphas[k], phis[k]).
 
     The four arrays broadcast against each other.  They are checked once
     here by the rules of ``EngineParams``.  Sample k gives the same row and
-    residuals as ``CycleEngine(EngineParams(omega_taus[k], betas[k],
-    steps=steps)).evaluate_flagged(alphas[k], phis[k])``: the propagator
-    pairs come from one stacked build and the engine state carries a sample
-    axis through the same kernel, ``NODE_BLOCK`` samples at a time.
+    residuals as ``CycleEngine(EngineParams(omega_taus[k], betas[k]),
+    propagators=exact_drive_propagators([omega_taus[k]])[0])
+    .evaluate_flagged(alphas[k], phis[k])``: the engine state carries a
+    sample axis through the same kernel, ``NODE_BLOCK`` samples at a time.
     """
     omega_taus, betas, alphas, phis = (np.ravel(x) for x in np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (omega_taus, betas, alphas, phis))))
     if omega_taus.size == 0:
         raise ValidationError("evaluate_samples needs at least one sample")
-    _check_engine_inputs(omega_taus, betas, steps)
+    _check_engine_inputs(omega_taus, betas)
     rows = np.empty(omega_taus.size, dtype=ROW_DTYPE)
     blocks = []  # (residuals, checks) of each block's record
     for start in range(0, omega_taus.size, NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
-        pairs = drive_propagators(omega_taus[block], steps)
+        pairs = exact_drive_propagators(omega_taus[block])
         engine = CycleEngine._for_samples(pairs[:, 0], pairs[:, 1], betas[block])
         record = engine._evaluate_block(alphas[block], phis[block], rows[block])
         blocks.append((record.residuals, record.checks))

@@ -7,7 +7,9 @@ segment I covers [0, tau], segment II covers [tau, 2*tau] with tau = omega*tau.
 The propagator is a midpoint-sampled product of exact step exponentials
 (second order overall, exactly unitary per step).  Factors are combined by
 pairwise tree reduction, which keeps the evaluation fast at large step counts
-and bit-for-bit deterministic for a given step count.
+and bit-for-bit deterministic for a given step count.  In the frame turning
+with the drive axis each stroke has an exact closed form, the reference for
+the integration error.
 """
 
 from __future__ import annotations
@@ -24,16 +26,13 @@ from .errors import ConfigurationError, ValidationError
 from .qubit_algebra import (
     IDENTITY,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     unitarity_residual,
 )
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
-# Step factors per chunk of a batched build: 32 durations x 2 segments x 256
-# steps, 1 MiB of 2x2 complex factors.  A longer build runs one duration at
-# a time.
-FACTOR_BLOCK = 16384
 
 
 class Segment(enum.Enum):
@@ -95,28 +94,24 @@ def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
     return 0.5 * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
 
 
-def _drive_step_factors(taus: np.ndarray, segments: Sequence[Segment],
+def _drive_step_factors(tau: float, segments: Sequence[Segment],
                         steps: int) -> np.ndarray:
     """Exact midpoint exponentials exp(-i H(t_mid) dt), vectorized.
 
-    One stack of ``steps`` factors per drive duration in ``taus`` and per
-    segment: the shape is (len(taus), len(segments), steps, 2, 2).
+    One stack of ``steps`` factors per segment: the shape is
+    (len(segments), steps, 2, 2).
     """
-    tau = taus[:, None]
     dt = tau / steps
-    # rotation by angle dt about the unit axis (sin theta, 0, cos theta);
-    # math.cos/math.sin, as in a build of one, because np.cos/np.sin round
-    # differently on some inputs
-    c = np.array([[math.cos(0.5 * x)] for x in dt[:, 0].tolist()])
-    s = np.array([[math.sin(0.5 * x)] for x in dt[:, 0].tolist()])
-    f = np.empty((len(taus), len(segments), steps, 2, 2), dtype=complex)
+    # rotation by angle dt about the unit axis (sin theta, 0, cos theta)
+    c, s = math.cos(0.5 * dt), math.sin(0.5 * dt)
+    f = np.empty((len(segments), steps, 2, 2), dtype=complex)
     for k, segment in enumerate(segments):
         lo = 0.0 if segment is Segment.I else tau
         theta = _axis_angle(segment, tau, lo + (np.arange(steps) + 0.5) * dt)
-        f[:, k, :, 0, 0] = c - 1j * s * np.cos(theta)
-        f[:, k, :, 0, 1] = -1j * s * np.sin(theta)
-        f[:, k, :, 1, 0] = -1j * s * np.sin(theta)
-        f[:, k, :, 1, 1] = c + 1j * s * np.cos(theta)
+        f[k, :, 0, 0] = c - 1j * s * np.cos(theta)
+        f[k, :, 0, 1] = -1j * s * np.sin(theta)
+        f[k, :, 1, 0] = -1j * s * np.sin(theta)
+        f[k, :, 1, 1] = c + 1j * s * np.cos(theta)
     return f
 
 
@@ -141,62 +136,66 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return factors[..., 0, :, :]
 
 
-def drive_propagators(taus: np.ndarray, steps: int,
+def drive_propagators(tau: float, steps: int,
                       segments: Sequence[Segment] = (Segment.I, Segment.II)) -> np.ndarray:
-    """Midpoint-product propagators for each drive duration in ``taus`` and
-    each segment, shape (len(taus), len(segments), 2, 2).
+    """Midpoint-product propagators of the drive duration ``tau`` (finite and
+    > 0, checked by the caller) for each segment, shape (len(segments), 2, 2)."""
+    return _ordered_product(_drive_step_factors(tau, segments, steps))
 
-    ``taus`` is a 1-D array of finite durations > 0, checked by the caller.
-    The factors are built and reduced ``FACTOR_BLOCK`` at a time, so scratch
-    memory does not grow with the number of durations.
+
+def exact_drive_propagators(taus) -> np.ndarray:
+    """The exact (U, V) pair of each drive duration in ``taus``, shape
+    (len(taus), 2, 2, 2).
+
+    In the frame that turns with the drive axis the generator is constant:
+    U = R exp(-i (tau sigma_z - (pi/2) sigma_y)/2) and
+    V = exp(-i (tau sigma_z + (pi/2) sigma_y)/2) R^dag, where
+    R = exp(-i (pi/4) sigma_y) turns the axis from z to x.
     """
-    out = np.empty((len(taus), len(segments), 2, 2), dtype=complex)
-    chunk = max(1, FACTOR_BLOCK // (len(segments) * steps))
-    for start in range(0, len(taus), chunk):
-        block = slice(start, start + chunk)
-        out[block] = _ordered_product(_drive_step_factors(taus[block], segments, steps))
-    return out
+    taus = np.asarray(taus, dtype=float)
+    # math.hypot rounds correctly; np.hypot is an ulp off on about 0.1% of
+    # durations, which moves the phase by up to 4e-15
+    theta = np.array([math.hypot(t, 0.5 * math.pi) for t in taus.tolist()])
+    c, s = (f(0.5 * theta)[:, None, None] for f in (np.cos, np.sin))
+    # theta n = (0, -+pi/2, tau) and exp(-i (theta/2) n.sigma) = c I - i s n.sigma
+    z = s * (taus / theta)[:, None, None] * SIGMA_Z
+    y = s * (0.5 * math.pi / theta)[:, None, None] * SIGMA_Y
+    r = (IDENTITY - 1j * SIGMA_Y) / math.sqrt(2.0)
+    u = r @ (c * IDENTITY - 1j * (z - y))
+    v = (c * IDENTITY - 1j * (z + y)) @ r.conj().T
+    return np.stack([u, v], axis=1)
 
 
 def time_ordered_propagator(spec: DriveSpec, steps: int) -> PropagatorResult:
     """Midpoint-product propagator over one segment, latest factor leftmost."""
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ConfigurationError("steps must be an integer >= 2")
-    u = drive_propagators(np.array([spec.tau]), steps, (spec.segment,))[0, 0]
+    u = drive_propagators(spec.tau, steps, (spec.segment,))[0]
     return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
 
 
 @dataclass(frozen=True)
 class ConvergenceEstimate:
     order: float
-    steps: tuple[int, ...]
-    errors: tuple[float, ...]
     indeterminate: bool
 
 
 def convergence_order(spec: DriveSpec, n_list: Sequence[int]) -> ConvergenceEstimate:
     """Empirical order: least-squares slope of log(error) against log(N).
 
-    Errors are entrywise deviations from the propagator at REFERENCE_STEPS.
-    When every error sits at the roundoff floor the slope is meaningless and
-    the estimate is flagged indeterminate.
+    Errors are entrywise deviations from the exact propagator.  When every
+    error sits at the roundoff floor the slope is meaningless and the
+    estimate is flagged indeterminate.
     """
     ns = list(n_list)
     if len(ns) < 3 or sorted(set(ns)) != ns:
         raise ConfigurationError("n_list must be >= 3 strictly ascending step counts")
-    ref = time_ordered_propagator(spec, REFERENCE_STEPS).u
-    errors = []
-    for n in ns:
-        u = time_ordered_propagator(spec, n).u
-        errors.append(float(np.abs(u - ref).max()))
+    ref = exact_drive_propagators([spec.tau])[0, (Segment.I, Segment.II).index(spec.segment)]
+    errors = [float(np.abs(time_ordered_propagator(spec, n).u - ref).max()) for n in ns]
     usable = [(n, e) for n, e in zip(ns, errors) if e > ERROR_FLOOR]
     if len(usable) < 2:
-        return ConvergenceEstimate(
-            order=float("nan"), steps=tuple(ns), errors=tuple(errors), indeterminate=True
-        )
+        return ConvergenceEstimate(order=float("nan"), indeterminate=True)
     logn = np.log([n for n, _ in usable])
     loge = np.log([e for _, e in usable])
     slope = np.polyfit(logn, loge, 1)[0]
-    return ConvergenceEstimate(
-        order=float(-slope), steps=tuple(ns), errors=tuple(errors), indeterminate=False
-    )
+    return ConvergenceEstimate(order=float(-slope), indeterminate=False)

@@ -20,6 +20,8 @@ from .propagator import (
     DriveSpec,
     Segment,
     convergence_order,
+    drive_propagators,
+    exact_drive_propagators,
     time_ordered_propagator,
 )
 from .qubit_algebra import (
@@ -72,16 +74,10 @@ def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) ->
 def suite_propagator_error(omega_tau: float, steps: int) -> SuiteResult:
     # conservative a-priori bound for the midpoint product on this drive
     bound = TOL.propagator_error / steps**2
-    worst = 0.0
-    for seg in (Segment.I, Segment.II):
-        spec = DriveSpec(tau=omega_tau, segment=seg)
-        ref = time_ordered_propagator(spec, REFERENCE_STEPS).u
-        u = time_ordered_propagator(spec, steps).u
-        worst = max(worst, float(np.abs(u - ref).max()))
-    return SuiteResult(
-        "propagator_error", worst <= bound, worst, bound,
-        detail=f"steps={steps} vs reference {REFERENCE_STEPS}",
-    )
+    error = drive_propagators(omega_tau, steps) - exact_drive_propagators([omega_tau])[0]
+    worst = float(np.abs(error).max())
+    return SuiteResult("propagator_error", worst <= bound, worst, bound,
+                       detail=f"steps={steps} vs the exact propagator")
 
 
 def suite_convergence(omega_tau: float) -> SuiteResult:
@@ -144,9 +140,7 @@ def _sample_suite(name: str, worst: float, bound: float, eligible: int,
     return SuiteResult(name, worst <= bound, worst, bound)
 
 
-def cycle_identity_suites(
-    rng: np.random.Generator, samples: int = 2000, steps: int = 256
-) -> list[SuiteResult]:
+def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list[SuiteResult]:
     """First law, Kelvin, entropy equalities, analytic-vs-trace residuals,
     efficiency forms and bounds, and the 1/zeta + 1/gamma inequality, all on
     one shared random parameter sample, evaluated as one batch.
@@ -154,12 +148,12 @@ def cycle_identity_suites(
     A sample with violated cycle invariants contributes its worst violation
     to the first-law suite and is left out of the others.  A suite left with
     no eligible sample fails.  The identities are exact for any unitary
-    pair, so a moderate step count is enough; residuals do not depend on
-    the integration error.
+    pair, so the samples run on the exact propagators; residuals do not
+    depend on the integration error.
     """
     alpha, phi, omega_tau, beta = rng.uniform(
         [0.0, 0.0, 0.001, 0.1], [math.pi, 2.0 * math.pi, 10.0, 10.0], size=(samples, 4)).T
-    batch = evaluate_samples(omega_tau, beta, alpha, phi, steps)
+    batch = evaluate_samples(omega_tau, beta, alpha, phi)
     ok = batch.rows["ok"]
     rows = batch.rows[ok]
     res = {name: values[ok] for name, values in batch.residuals.items()}

@@ -54,7 +54,7 @@ def random_samples():
     # per sample, in this order: omega_tau, beta, alpha, phi
     omega_tau, beta, alpha, phi = rng.uniform(
         [0.001, 0.1, 0.0, 0.0], [10.0, 10.0, math.pi, 2.0 * math.pi], size=(SAMPLES, 4)).T
-    batch = evaluate_samples(omega_tau, beta, alpha, phi, steps=256)
+    batch = evaluate_samples(omega_tau, beta, alpha, phi)
     rows, res = batch.rows, batch.residuals
     assert rows["ok"].all()
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,31 @@ def test_verify_passes_with_trimmed_samples(capsys):
         assert float(line.split("max residual ")[1].split()[0]) < 0.0
 
 
+# the suites in the order, and the lines in the form, that the benchmark's
+# checks (perfbench/checks.py) parse
+VERIFY_SUITES = (
+    "unitarity", "propagator_error", "convergence_order", "measurement_channel",
+    "first_law", "kelvin", "entropy_equalities", "analytic_vs_oracle",
+    "efficiency_forms", "efficiency_bounds", "transition_inequality", "symmetry",
+)
+SUITE_LINE = re.compile(
+    r"^\[PASS\] (\w+): max residual -?\d\.\d{3}e[-+]\d{2} \(tol \d\.\de[-+]\d{2}\)( - .+)?$")
+
+
+def test_verify_output_shape(capsys, monkeypatch):
+    monkeypatch.delenv("QMETER_SEED", raising=False)
+    rc, out, _ = run_cli([
+        "verify", "--samples", "60", "--grid-alpha-points", "9",
+        "--grid-phi-points", "9"], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "seed=20201"
+    matches = [SUITE_LINE.match(line) for line in lines[1:]]
+    assert all(matches), lines
+    assert tuple(m.group(1) for m in matches) == VERIFY_SUITES
+    assert lines[2].endswith(" - steps=1024 vs the exact propagator")
+
+
 def test_verify_fails_a_suite_with_no_eligible_sample(capsys):
     # the one sample at the default seed has no positive work output, so
     # the efficiency bounds had nothing to check
@@ -383,6 +409,14 @@ def test_config_file_value_reads_like_the_flag(tmp_path, capsys):
     assert rc == 0
     assert from_file == from_flag
     assert parse_record(from_file)["phi"] == fmt(-0.001)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.1e-2", "-0.001"])
+def test_negative_value_in_exponent_form_is_a_number(capsys, value):
+    # argparse alone reads the first three as flags
+    rc, out, _ = run_cli(["run", "--alpha-rad", "1", "--phi-rad", value], capsys)
+    assert rc == 0
+    assert "phi=-0.001" in out.splitlines()
 
 
 def test_bad_config_file_value_names_the_file(tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qmeter.propagator
 from qmeter import ConfigurationError, DriveSpec, Segment, ValidationError
 from qmeter import convergence_order, driving_hamiltonian, hermitian_expm, time_ordered_propagator
-from qmeter.propagator import PropagatorResult, _ordered_product
+from qmeter.propagator import PropagatorResult, _ordered_product, exact_drive_propagators
 from qmeter.qubit_algebra import SIGMA_X, SIGMA_Z, eigvals_hermitian, unitarity_residual
 
 from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v
@@ -104,6 +106,8 @@ def test_convergence_indeterminate_for_commuting_drive(monkeypatch):
         return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
 
     monkeypatch.setattr(qmeter.propagator, "time_ordered_propagator", commuting_drive)
+    monkeypatch.setattr(qmeter.propagator, "exact_drive_propagators",
+                        lambda taus: np.array([[hermitian_expm(h0, tau)] * 2 for tau in taus]))
     est = convergence_order(spec(tau=1.0), [8, 16, 32, 64])
     assert est.indeterminate
     assert math.isnan(est.order)
@@ -146,3 +150,12 @@ def test_second_stroke_is_transpose_of_first(omega_tau):
     u = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.I), 4096).u
     v = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.II), 4096).u
     assert np.abs(v - u.T).max() <= 1e-12
+
+
+@given(st.one_of(st.floats(1e-6, 1e6), st.sampled_from([1e-300, 1e300])))
+def test_exact_propagators_match_the_rotating_frame_oracle(omega_tau):
+    pair = exact_drive_propagators([omega_tau])
+    assert pair.shape == (1, 2, 2, 2)
+    assert np.abs(pair[0, 0] - closed_form_u(omega_tau)).max() <= 1e-15
+    assert np.abs(pair[0, 1] - closed_form_v(omega_tau)).max() <= 1e-15
+    assert unitarity_residual(pair) <= 1e-15

@@ -6,9 +6,10 @@ to the independent Bloch-vector oracle at ``Tolerances.analytic`` for any
 drive duration and temperature.  Batch sizes fall on both sides of the
 block constant, with drawn nodes placed at the block edges.
 
-The sample batches (``evaluate_samples``, ``drive_propagators``) are held
-to the one-engine path sample by sample, bit for bit, with batch sizes on
-both sides of the propagator chunk and of the block constant.
+The sample batches (``evaluate_samples``, on exact propagator pairs) are
+held to the one-engine path sample by sample, bit for bit, with batch sizes
+on both sides of the block constant.  A two-segment ``drive_propagators``
+build is held to one build per segment.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import CycleEngine, DriveSpec, EngineParams, Segment, time_ordered_propagator
 from qmeter.cycle import NODE_BLOCK, ROW_DTYPE, evaluate_samples
-from qmeter.propagator import FACTOR_BLOCK, drive_propagators
+from qmeter.propagator import drive_propagators, exact_drive_propagators
 
 from conftest import bloch_cycle, closed_form_u, closed_form_v
 
@@ -100,29 +101,27 @@ small_steps = st.sampled_from([2, 3, 8, 16])
 
 @st.composite
 def sample_batches(draw):
-    """(steps, omega_taus, betas, alphas, phis, checked) for evaluate_samples:
+    """(omega_taus, betas, alphas, phis, checked) for evaluate_samples:
     seeded uniform samples with drawn ones at the first and last positions
-    and at the edges of the propagator chunk and the node block."""
-    steps = draw(small_steps)
-    chunk = FACTOR_BLOCK // (2 * steps)  # samples per propagator chunk
-    size = draw(st.sampled_from([1, 2, chunk - 1, chunk + 1, NODE_BLOCK, NODE_BLOCK + 1]))
+    and at the edges of the node block."""
+    size = draw(st.sampled_from([1, 2, NODE_BLOCK, NODE_BLOCK + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform([1e-3, 0.0, 0.0, 0.0], [10.0, 10.0, math.pi, TWO_PI], size=(size, 4))
-    edges = {0, size - 1, chunk - 1, chunk, NODE_BLOCK - 1, NODE_BLOCK}
+    edges = {0, size - 1, NODE_BLOCK - 1, NODE_BLOCK}
     checked = sorted(k for k in edges if k < size)
     for k in checked:
         x[k] = draw(omega_taus), draw(betas), draw(alphas), draw(phis)
-    return (steps, *x.T, checked)
+    return (*x.T, checked)
 
 
 @given(sample_batches())
 def test_evaluate_samples_matches_one_engine_per_sample(batch):
-    steps, omega_tau, beta, alpha, phi, checked = batch
-    result = evaluate_samples(omega_tau, beta, alpha, phi, steps)
+    omega_tau, beta, alpha, phi, checked = batch
+    result = evaluate_samples(omega_tau, beta, alpha, phi)
     assert result.rows.shape == omega_tau.shape
     for k in checked:
-        engine = CycleEngine(EngineParams(omega_tau=omega_tau[k], beta_hbar_omega=beta[k],
-                                          steps=steps))
+        engine = CycleEngine(EngineParams(omega_tau=omega_tau[k], beta_hbar_omega=beta[k]),
+                             propagators=exact_drive_propagators([omega_tau[k]])[0])
         record, violations = engine.evaluate_flagged(alpha[k], phi[k])
         assert record.row.tobytes() == result.rows[k:k + 1].tobytes()
         for name, value in record.residuals.items():
@@ -131,13 +130,9 @@ def test_evaluate_samples_matches_one_engine_per_sample(batch):
         assert flagged == set(violations)
 
 
-@given(small_steps, st.integers(0, 2**32 - 1), st.lists(omega_taus, min_size=2, max_size=2))
-def test_drive_propagators_match_one_build_per_segment(steps, seed, drawn):
-    chunk = FACTOR_BLOCK // (2 * steps)
-    taus = np.random.default_rng(seed).uniform(1e-3, 10.0, chunk + 1)
-    taus[[chunk - 1, chunk]] = drawn
-    pairs = drive_propagators(taus, steps)
-    for k in (0, chunk - 1, chunk):
-        for j, segment in enumerate((Segment.I, Segment.II)):
-            u = time_ordered_propagator(DriveSpec(tau=taus[k], segment=segment), steps).u
-            assert u.tobytes() == pairs[k, j].tobytes()
+@given(small_steps, omega_taus)
+def test_drive_propagators_match_one_build_per_segment(steps, tau):
+    pair = drive_propagators(tau, steps)
+    for j, segment in enumerate((Segment.I, Segment.II)):
+        u = time_ordered_propagator(DriveSpec(tau=tau, segment=segment), steps).u
+        assert u.tobytes() == pair[j].tobytes()
