@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .cycle import CycleEngine, EngineParams, run_cycle
-from .errors import ConfigurationError, InvariantViolation, ValidationError
+from .errors import ConfigurationError, InvariantViolation
 from .sweep import (
     GridSpec,
     Objective,
@@ -373,8 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             except ConfigurationError as exc:  # argv alone parsed, so the file is at fault
                 raise ConfigurationError(f"{args.config}: {exc}") from None
         return args.func(args)
-    # sizes too large to allocate and unusable paths are configuration errors too
-    except (ConfigurationError, ValidationError, MemoryError, OSError) as exc:
+    # ValueError covers the package's own errors and sizes past numpy's index
+    # range; sizes too large to allocate and unusable paths are errors too
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -64,16 +64,6 @@ class PropagatorResult:
     unitarity_residual: float
 
 
-def drive_axis_angle(spec: DriveSpec, t: float) -> float:
-    """Polar angle of the drive axis in the x-z plane at phase t."""
-    lo, hi = spec.time_window()
-    if not (lo <= t <= hi):
-        raise ValidationError(
-            f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]"
-        )
-    return _axis_angle(spec.segment, spec.tau, t)
-
-
 def _axis_angle(segment: Segment, tau, t):
     """The drive angle: 0 -> pi/2 over segment I, pi/2 -> 0 over segment II.
 
@@ -90,7 +80,10 @@ def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
     The axis rotates; the gap never changes, so the eigenvalues are exactly
     +-1/2 for every t in the segment.
     """
-    theta = drive_axis_angle(spec, t)
+    lo, hi = spec.time_window()
+    if not (lo <= t <= hi):
+        raise ValidationError(f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]")
+    theta = _axis_angle(spec.segment, spec.tau, t)
     return 0.5 * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
 
 

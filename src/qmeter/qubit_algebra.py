@@ -5,10 +5,10 @@ expectation values and von Neumann entropy.  Everything here works in
 internal units: energies in multiples of hbar*omega, times as the
 dimensionless phase omega*t, so hbar never appears in the formulas.
 
-All functions are pure; returned arrays are fresh copies.  The
-density-matrix and unitarity checks, eigenvalues and entropies also accept a
-stack of matrices with shape (..., 2, 2) and then return one value per
-matrix; ``gibbs_state`` takes an array of inverse temperatures.
+All functions are pure; returned arrays are fresh copies.  Each takes one
+2x2 matrix or a stack of shape (..., 2, 2) and gives one result per matrix;
+the times of ``hermitian_expm`` and the inverse temperatures of
+``gibbs_state`` broadcast against the stack's leading axes.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ def _as_stack(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _as_matrix(m: np.ndarray, name: str) -> np.ndarray:
-    m = _as_stack(m, name)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be a 2x2 matrix, got shape {m.shape}")
-    return m
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -79,16 +72,16 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _pauli_decompose(h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Split Hermitian H = a*I + b*(n.sigma) with b >= 0 and |n| = 1.
+def _two_level(h: np.ndarray):
+    """(a, b) of Hermitian H = a*I + b*(n.sigma), with b >= 0."""
+    a = 0.5 * trace_2x2(h).real
+    b = np.hypot(np.abs(h[..., 0, 1]), 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+    return a, b
 
-    For b = 0 the axis is arbitrary and z is returned.
-    """
-    a = 0.5 * (h[0, 0] + h[1, 1]).real
-    v = np.array([h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0] - h[1, 1]).real])
-    b = float(np.linalg.norm(v))
-    n = v / b if b > 0.0 else np.array([0.0, 0.0, 1.0])
-    return a, b, n
+
+def _over_b(x, b):
+    """x/b, taken as 0 where b = 0: the traceless part K vanishes there."""
+    return np.divide(x, b, out=np.zeros(np.broadcast(x, b).shape), where=b > 0.0)
 
 
 def eigvals_hermitian(h: np.ndarray, name: str = "matrix"):
@@ -97,26 +90,26 @@ def eigvals_hermitian(h: np.ndarray, name: str = "matrix"):
 
 
 def _eigvals(h: np.ndarray):
-    a = 0.5 * trace_2x2(h).real
-    b = np.hypot(np.abs(h[..., 0, 1]), 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+    a, b = _two_level(h)
     return a - b, a + b
 
 
-def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
+def hermitian_expm(h: np.ndarray, t) -> np.ndarray:
     """Unitary exp(-i*H*t) for Hermitian H, in closed form.
 
     H is in energy units of hbar*omega and t is the dimensionless phase, so
-    the exponent is dimensionless.
+    the exponent is dimensionless.  With H = a*I + K and K = b*(n.sigma),
+    this is exp(-i*a*t) (cos(b*t) I - i (sin(b*t)/b) K).
     """
-    h = require_hermitian(_as_matrix(h, "H"), "H")
-    if not math.isfinite(t):
+    h = require_hermitian(h, "H")
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValidationError("t must be finite")
-    a, b, n = _pauli_decompose(h)
-    phase = math.cos(a * t) - 1j * math.sin(a * t)
-    rot = math.cos(b * t) * IDENTITY - 1j * math.sin(b * t) * (
-        n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    )
-    return phase * rot
+    a, b = _two_level(h)
+    phase = np.exp(-1j * (a * t))[..., None, None]
+    cos = np.cos(b * t)[..., None, None]
+    sin = _over_b(np.sin(b * t), b)[..., None, None]
+    return phase * (cos * IDENTITY - 1j * sin * (h - np.multiply.outer(a, IDENTITY)))
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -151,18 +144,16 @@ def tanh(x):
 def gibbs_state(h: np.ndarray, beta) -> np.ndarray:
     """Thermal state exp(-beta*H)/Z for Hermitian H and beta >= 0.
 
-    Uses rho = (I - tanh(beta*b) n.sigma)/2 on the traceless part, which is
-    exact and immune to overflow at large beta.  An array of betas gives a
-    stack of states, one per beta.
+    Uses rho = (I - (tanh(beta*b)/b) K)/2 on the traceless part K = b*(n.sigma),
+    which is exact and immune to overflow at large beta.
     """
-    h = require_hermitian(_as_matrix(h, "H"), "H")
+    h = require_hermitian(h, "H")
     beta = np.asarray(beta, dtype=float)
     if not (np.isfinite(beta).all() and (beta >= 0.0).all()):
         raise ValidationError("beta must be finite and >= 0")
-    _, b, n = _pauli_decompose(h)
-    t = np.asarray(tanh(beta * b))[..., None, None]
-    rho = 0.5 * (IDENTITY - t * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z))
-    return rho
+    a, b = _two_level(h)
+    f = _over_b(tanh(beta * b), b)[..., None, None]
+    return 0.5 * (IDENTITY - f * (h - np.multiply.outer(a, IDENTITY)))
 
 
 def require_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -208,11 +199,12 @@ def von_neumann_entropy(rho: np.ndarray, name: str = "rho"):
     return entropy_from_eigenvalues(*_eigvals(require_density_matrix(rho, name)))
 
 
-def expectation(rho: np.ndarray, a: np.ndarray) -> float:
+def expectation(rho: np.ndarray, a: np.ndarray):
     """Re Tr(rho A) for Hermitian A; the imaginary leak must stay below tolerance."""
-    rho = require_density_matrix(_as_matrix(rho, "rho"))
-    a = require_hermitian(_as_matrix(a, "A"), "A")
-    value = np.trace(rho @ a)
-    if abs(value.imag) > TOL.imag_leak:
-        raise ValidationError(f"Tr(rho A) has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    rho = require_density_matrix(rho)
+    a = require_hermitian(a, "A")
+    value = trace_2x2(rho @ a)
+    leak = np.abs(value.imag).max()
+    if leak > TOL.imag_leak:
+        raise ValidationError(f"Tr(rho A) has imaginary part {leak:.3e}")
+    return value.real[()]

@@ -32,6 +32,7 @@ from .qubit_algebra import (
     hermitian_expm,
     hermiticity_residual,
     gibbs_state,
+    trace_2x2,
     unitarity_residual,
     von_neumann_entropy,
 )
@@ -48,22 +49,21 @@ class SuiteResult:
     detail: str = ""
 
 
-def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
-    a, x, y, z = rng.normal(size=4)
+def _random_hermitians(rng: np.random.Generator, n: int) -> np.ndarray:
+    a, x, y, z = rng.normal(size=(4, n, 1, 1))
     return a * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
-def _random_state(rng: np.random.Generator) -> np.ndarray:
-    rho = gibbs_state(_random_hermitian(rng), rng.uniform(0.0, 3.0))
-    u = hermitian_expm(_random_hermitian(rng), rng.uniform(0.0, 3.0))
-    return u @ rho @ u.conj().T
+def _random_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Gibbs states of random Hamiltonians, turned by random unitaries."""
+    rho = gibbs_state(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
+    u = hermitian_expm(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
+    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
 def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(samples):
-        u = hermitian_expm(_random_hermitian(rng), rng.uniform(-10.0, 10.0))
-        worst = max(worst, unitarity_residual(u))
+    worst = unitarity_residual(hermitian_expm(_random_hermitians(rng, samples),
+                                              rng.uniform(-10.0, 10.0, samples)))
     for n in (2, 7, 64, 1024, REFERENCE_STEPS):
         for seg in (Segment.I, Segment.II):
             res = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=seg), n)
@@ -104,21 +104,18 @@ def suite_measurement_channel(
     the Hermiticity check runs at tolerance zero; it is what the
     fault-injection hook (skipping the re-Hermitization) trips.
     """
-    worst = 0.0
-    exact_asym = 0.0
-    for _ in range(samples):
-        rho = _random_state(rng)
-        basis = basis_kets(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        post, probs = measure(rho, basis, rehermitize=rehermitize)
-        post2, _ = measure(post, basis, rehermitize=rehermitize)
-        worst = max(
-            worst,
-            float(np.abs(post2 - post).max()),
-            abs(probs[0] + probs[1] - 1.0),
-            abs((post[0, 0] + post[1, 1]).real - 1.0),
-            max(0.0, von_neumann_entropy(rho) - von_neumann_entropy(post)),
-        )
-        exact_asym = max(exact_asym, hermiticity_residual(post))
+    rho = _random_states(rng, samples)
+    basis = basis_kets(rng.uniform(0.0, math.pi, samples),
+                       rng.uniform(0.0, 2.0 * math.pi, samples))
+    post, (p1, p2) = measure(rho, basis, rehermitize=rehermitize)
+    post2, _ = measure(post, basis, rehermitize=rehermitize)
+    worst = float(max(
+        np.abs(post2 - post).max(),
+        np.abs(p1 + p2 - 1.0).max(),
+        np.abs(trace_2x2(post).real - 1.0).max(),
+        (von_neumann_entropy(rho) - von_neumann_entropy(post)).clip(0.0).max(),
+    ))
+    exact_asym = float(hermiticity_residual(post).max())
     passed = worst <= TOL.kelvin and exact_asym == 0.0
     detail = "symmetrized output must be exactly Hermitian"
     return SuiteResult("measurement_channel", passed, max(worst, exact_asym),

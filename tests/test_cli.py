@@ -332,14 +332,24 @@ def test_slice_rejects_fewer_than_one_point(tmp_path, capsys):
     assert "points must be >= 1" in err
 
 
+def _size_cases(n):
+    return [
+        ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", str(n)],
+        ["slice", "--fixed-phi", "1.0", "--points", str(n)],
+        ["verify", "--samples", str(n), "--grid-alpha-points", "5", "--grid-phi-points", "5"],
+        ["sweep", "--grid-alpha-points", str(n), "--grid-phi-points", "3"],
+    ]
+
+
 # about 10**15 elements: more than any address space can map, so the
-# allocation fails at once without touching memory
+# allocation fails at once without touching memory; 10**23 and 2**63 - 1 are
+# past numpy's index range, which it reports as ValueError
 @pytest.mark.parametrize("args", [
-    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", str(10**15)],
-    ["slice", "--fixed-phi", "1.0", "--points", str(10**15)],
-    ["verify", "--samples", str(10**15), "--grid-alpha-points", "5", "--grid-phi-points", "5"],
-    ["sweep", "--grid-alpha-points", str(10**15), "--grid-phi-points", "3"],
-], ids=["run", "slice", "verify", "sweep"])
+    *_size_cases(10**15),
+    *_size_cases(10**23),
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", str(2**63 - 1)],
+], ids=["run", "slice", "verify", "sweep",
+        "run-1e23", "slice-1e23", "verify-1e23", "sweep-1e23", "run-2**63-1"])
 def test_sizes_too_large_for_memory_are_config_errors(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     rc, _, err = run_cli(args, capsys)

@@ -167,3 +167,43 @@ def test_closed_form_rotation_agrees_with_expm(rng):
         angle = rng.uniform(-6, 6)
         h = 0.5 * (n[0] * pauli("x") + n[1] * pauli("y") + n[2] * pauli("z"))
         assert np.abs(hermitian_expm(h, angle) - su2(*n, angle)).max() < 1e-13
+
+
+def assert_each_matrix_equals(stacked, singles):
+    assert stacked.shape == (len(singles), 2, 2)
+    for got, want in zip(stacked, singles):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_expm_equals_one_matrix_calls(rng):
+    hs = np.array([random_hermitian(rng) for _ in range(500)])
+    ts = rng.uniform(-10, 10, size=500)
+    assert_each_matrix_equals(hermitian_expm(hs, ts),
+                              [hermitian_expm(h, t) for h, t in zip(hs, ts)])
+    # one Hamiltonian against an array of times
+    assert_each_matrix_equals(hermitian_expm(hs[0], ts),
+                              [hermitian_expm(hs[0], t) for t in ts])
+    # b = 0: a multiple of the identity is a pure phase
+    assert_each_matrix_equals(hermitian_expm(np.array([2.0 * IDENTITY]), ts[:1]),
+                              [np.exp(-2j * ts[0]) * IDENTITY])
+
+
+def test_stacked_gibbs_equals_one_matrix_calls(rng):
+    hs = np.array([random_hermitian(rng) for _ in range(500)])
+    betas = rng.uniform(0, 5, size=500)
+    assert_each_matrix_equals(gibbs_state(hs, betas),
+                              [gibbs_state(h, beta) for h, beta in zip(hs, betas)])
+    # the engine's thermal state over an array of inverse temperatures
+    assert_each_matrix_equals(gibbs_state(0.5 * SIGMA_Z, betas),
+                              [gibbs_state(0.5 * SIGMA_Z, beta) for beta in betas])
+    assert np.array_equal(gibbs_state(np.array([3.0 * IDENTITY]), [1.0]), [IDENTITY / 2])
+
+
+def test_stacked_expectation_equals_one_matrix_calls(rng):
+    rhos = np.array([gibbs_state(random_hermitian(rng), rng.uniform(0, 5)) for _ in range(200)])
+    observables = np.array([random_hermitian(rng) for _ in range(200)])
+    values = expectation(rhos, observables)
+    assert values.shape == (200,)
+    assert values.tolist() == [expectation(r, a) for r, a in zip(rhos, observables)]
+    # one observable against the stack of states
+    assert expectation(rhos, SIGMA_Z).tolist() == [expectation(r, SIGMA_Z) for r in rhos]

@@ -1,5 +1,5 @@
-"""The batched cycle-identity suites against the per-sample loop they
-replace, and the propagator-error suite against the exact oracle."""
+"""The batched suites against the per-sample loops they replace, and the
+propagator-error suite against the exact oracle."""
 
 import math
 
@@ -7,11 +7,24 @@ import numpy as np
 import pytest
 
 import qmeter.cycle
+import qmeter.verification
 from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import CycleEngine, DriveSpec, EngineParams, Segment, measurement
-from qmeter import time_ordered_propagator
-from qmeter.propagator import exact_drive_propagators
-from qmeter.verification import cycle_identity_suites, suite_propagator_error
+from qmeter import basis_kets, gibbs_state, hermitian_expm, measure, time_ordered_propagator
+from qmeter.propagator import PropagatorResult, exact_drive_propagators
+from qmeter.qubit_algebra import (
+    IDENTITY,
+    hermiticity_residual,
+    unitarity_residual,
+    von_neumann_entropy,
+)
+from qmeter.verification import (
+    _random_hermitians,
+    cycle_identity_suites,
+    suite_measurement_channel,
+    suite_propagator_error,
+    suite_unitarity,
+)
 
 from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v
 
@@ -87,6 +100,48 @@ def test_suites_with_no_eligible_sample_fail(monkeypatch):
         assert not r.passed, r.name
         if r.name != "first_law":
             assert r.detail == "no eligible sample (0 of 20)", r.name
+
+
+def test_stacked_unitarity_suite_matches_the_per_sample_loop(monkeypatch):
+    # a perfect step ladder leaves the random exponentials as the worst case
+    monkeypatch.setattr(qmeter.verification, "time_ordered_propagator",
+                        lambda spec, steps: PropagatorResult(IDENTITY, steps, 0.0))
+    result = suite_unitarity(np.random.default_rng(3), DEFAULT_OMEGA_TAU, SAMPLES)
+    rng = np.random.default_rng(3)
+    hs, ts = _random_hermitians(rng, SAMPLES), rng.uniform(-10.0, 10.0, SAMPLES)
+    expected = max(unitarity_residual(hermitian_expm(h, t)) for h, t in zip(hs, ts))
+    assert 0.0 < expected
+    assert result.max_residual == expected
+    assert result.passed == (expected <= TOL.unitarity)
+
+
+def reference_channel(rng, samples, rehermitize):
+    """Worst residual and verdict of the channel suite from one state, one
+    basis and two ``measure`` calls per sample."""
+    gibbs_h, betas = _random_hermitians(rng, samples), rng.uniform(0.0, 3.0, samples)
+    turn_h, turn_t = _random_hermitians(rng, samples), rng.uniform(0.0, 3.0, samples)
+    alphas = rng.uniform(0.0, math.pi, samples)
+    phis = rng.uniform(0.0, 2.0 * math.pi, samples)
+    worst = exact_asym = 0.0
+    for k in range(samples):
+        u = hermitian_expm(turn_h[k], turn_t[k])
+        rho = u @ gibbs_state(gibbs_h[k], betas[k]) @ u.conj().T
+        basis = basis_kets(alphas[k], phis[k])
+        post, probs = measure(rho, basis, rehermitize=rehermitize)
+        post2, _ = measure(post, basis, rehermitize=rehermitize)
+        worst = max(worst, np.abs(post2 - post).max(), abs(probs[0] + probs[1] - 1.0),
+                    abs((post[0, 0] + post[1, 1]).real - 1.0),
+                    max(0.0, von_neumann_entropy(rho) - von_neumann_entropy(post)))
+        exact_asym = max(exact_asym, hermiticity_residual(post))
+    return max(worst, exact_asym), worst <= TOL.kelvin and exact_asym == 0.0
+
+
+@pytest.mark.parametrize("rehermitize", [True, False])
+def test_stacked_channel_suite_matches_the_per_sample_loop(rehermitize):
+    result = suite_measurement_channel(np.random.default_rng(3), SAMPLES, rehermitize)
+    worst, passed = reference_channel(np.random.default_rng(3), SAMPLES, rehermitize)
+    assert result.max_residual == worst
+    assert result.passed == passed == rehermitize
 
 
 @pytest.mark.parametrize("omega_tau", [DEFAULT_OMEGA_TAU, 1.0, 9.75, 152.0])
