@@ -11,15 +11,17 @@ Exit codes: 0 success, 1 configuration error, 2 invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .sweep import (
     GridSpec,
     Objective,
     SweepTable,
+    _partner_indices,
     grid_sweep,
     locate_extrema,
     slice_profile,
@@ -152,6 +155,20 @@ def fmt(value: float) -> str:
     return "%.17g" % value
 
 
+def open_output(path: Path) -> TextIO:
+    """Open ``path`` for writing, unlinking it first if it is a regular file.
+
+    On ext4 (default ``auto_da_alloc``), closing a file truncated to zero or
+    renamed over waits for its writeback: the default ``sweep.csv`` took
+    0.42-0.90 s rewritten in place, 0.41-0.62 s through a rename and 0.18 s
+    as a new file (2-vCPU VM). A hard link keeps the old bytes; symlinks are
+    written through; a refused unlink falls back to truncating."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(path.lstat().st_mode):
+            path.unlink()
+    return path.open("w", newline="")
+
+
 def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     """Header plus one line of ``fmt`` tokens per structured row.
 
@@ -159,7 +176,7 @@ def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     at once do not grow with the table.
     """
     line = ",".join(["%.17g"] * len(fields)) + "\n"
-    with path.open("w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(fields) + "\n")
         for start in range(0, len(rows), CSV_BLOCK):
             block = rows[fields][start:start + CSV_BLOCK].tolist()
@@ -222,12 +239,12 @@ def _parse_objectives(raw: str) -> list[Objective]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_config(args)
     objectives = _parse_objectives(args.objectives)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     params = config.engine_params()
     grid = GridSpec(base=params, alpha_points=config.grid_alpha_points,
                     phi_points=config.grid_phi_points)
+    _partner_indices(grid)  # the symmetry residual needs an odd phi count
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     engine = CycleEngine(params)
     table = grid_sweep(grid, engine)
 
@@ -261,7 +278,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = out_dir / "sweep.csv"
     summary_path = out_dir / "summary.json"
     write_table_csv(table, csv_path)
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    with open_output(summary_path) as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {csv_path} ({table.rows.shape[0]} rows) and {summary_path}")
     return 0
 

@@ -36,7 +36,7 @@ from .qubit_algebra import (
     unitarity_residual,
     von_neumann_entropy,
 )
-from .sweep import GridSpec, grid_sweep, symmetry_residual
+from .sweep import GridSpec, _partner_indices, grid_sweep, symmetry_residual
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 
@@ -197,6 +197,7 @@ def run_all_suites(
 ) -> list[SuiteResult]:
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
+    _partner_indices(GridSpec(params, *grid_points))  # an even phi count fails before any suite
     rng = np.random.default_rng(seed)
     results = [
         suite_unitarity(rng, params.omega_tau, samples=min(samples, 2000)),

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -179,6 +180,35 @@ def test_sweep_determinism_across_runs(tmp_path, capsys):
             == (tmp_path / "b" / "sweep.csv").read_bytes())
     assert ((tmp_path / "a" / "summary.json").read_bytes()
             == (tmp_path / "b" / "summary.json").read_bytes())
+
+
+def test_rerun_writes_new_files_and_leaves_a_hard_link_alone(tmp_path, capsys):
+    def sweep(out_dir, *extra):
+        rc, _, err = run_cli(["sweep", "--grid-alpha-points", "9", "--grid-phi-points", "9",
+                              "--steps", "256", *extra, "--output", str(out_dir)], capsys)
+        assert rc == 0, err
+        return [(out_dir / name).read_bytes() for name in ("sweep.csv", "summary.json")]
+
+    first = sweep(tmp_path / "out")
+    os.link(tmp_path / "out" / "sweep.csv", tmp_path / "out" / "keep.csv")
+    for fresh, extra in (("beta", ["--beta", "0.7"]), ("again", [])):
+        assert sweep(tmp_path / "out", *extra) == sweep(tmp_path / fresh, *extra)
+        assert (tmp_path / "out" / "keep.csv").read_bytes() == first[0]
+    # the --beta 0.7 outputs differ in length from the first ones, so the two
+    # reruns rewrote each output once to a new length and once back
+    assert [len(b) for b in sweep(tmp_path / "beta", "--beta", "0.7")] != list(map(len, first))
+
+
+def test_output_symlink_is_written_through(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("bytes of an earlier run\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    args = ["slice", "--fixed-phi", "2.53", "--points", "33", "--steps", "256", "--output"]
+    assert run_cli([*args, str(link)], capsys)[0] == 0
+    assert run_cli([*args, str(tmp_path / "plain.csv")], capsys)[0] == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_slice_command(tmp_path, capsys):
@@ -448,6 +478,25 @@ def test_seed_precedence_flag_over_file_over_env(tmp_path, capsys, monkeypatch):
     assert rc == 0 and out.startswith("seed=55\n")
     rc, out, _ = run_cli(["verify", *trimmed, "--config", str(cfg), "--seed", "42"], capsys)
     assert rc == 0 and out.startswith("seed=42\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_even_phi_grid_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    import qmeter.cli
+    import qmeter.verification
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the grid check")
+
+    monkeypatch.setattr(qmeter.cli, "grid_sweep", no_work)
+    monkeypatch.setattr(qmeter.verification, "suite_unitarity", no_work)
+    out_dir = tmp_path / "new_dir"
+    args = [command, "--grid-alpha-points", "5", "--grid-phi-points", "256"]
+    rc, _, err = run_cli(args + (["--output", str(out_dir)] if command == "sweep" else []),
+                         capsys)
+    assert rc == 1
+    assert err == "error: phi grid not symmetric under phi -> phi + pi\n"
+    assert not out_dir.exists()
 
 
 # every path lies under a regular file, so no directory can be made there
