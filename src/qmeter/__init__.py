@@ -23,7 +23,6 @@ from .propagator import (
     DriveSpec,
     Segment,
     convergence_order,
-    driving_hamiltonian,
     time_ordered_propagator,
 )
 from .qubit_algebra import (
@@ -61,7 +60,6 @@ __all__ = [
     "analytic_energetics",
     "basis_kets",
     "convergence_order",
-    "driving_hamiltonian",
     "expectation",
     "gibbs_state",
     "grid_sweep",

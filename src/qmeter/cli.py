@@ -73,8 +73,6 @@ class RunConfig:
             raise ConfigurationError("hbar_omega_pev must be positive")
         if not (math.isfinite(self.tau_us) and self.tau_us > 0):
             raise ConfigurationError("tau must be positive")
-        if self.steps < 2:
-            raise ConfigurationError("steps must be >= 2")
         if isinstance(self.beta, str) and self.beta != BETA_TOKEN:
             raise ConfigurationError(
                 f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}"

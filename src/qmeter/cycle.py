@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .measurement import MeasurementBasis, basis_kets, measure
-from .propagator import drive_propagators, exact_drive_propagators
+from .propagator import MAX_STEPS, drive_propagators, exact_drive_propagators
 # not called here, but perfbench/tracer.py patches it in this namespace
 from .propagator import time_ordered_propagator  # noqa: F401
 from .qubit_algebra import (
@@ -78,8 +78,8 @@ class EngineParams:
 
     def __post_init__(self):
         _check_engine_inputs(self.omega_tau, self.beta_hbar_omega)
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 2:
-            raise ValidationError("steps must be an integer >= 2")
+        if not isinstance(self.steps, numbers.Integral) or not 2 <= self.steps <= MAX_STEPS:
+            raise ValidationError(f"steps must be an integer in [2, {MAX_STEPS}]")
 
 
 def _check_engine_inputs(omega_tau, beta_hbar_omega) -> None:

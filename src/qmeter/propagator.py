@@ -7,9 +7,13 @@ segment I covers [0, tau], segment II covers [tau, 2*tau] with tau = omega*tau.
 The propagator is a midpoint-sampled product of exact step exponentials
 (second order overall, exactly unitary per step).  Factors are combined by
 pairwise tree reduction, which keeps the evaluation fast at large step counts
-and bit-for-bit deterministic for a given step count.  In the frame turning
-with the drive axis each stroke has an exact closed form, the reference for
-the integration error.
+and bit-for-bit deterministic for a given step count.  Each aligned chunk of
+``STEP_CHUNK`` steps is made and reduced on its own, padded with identities
+to exactly ``STEP_CHUNK`` leaves, and the chunk products are reduced last:
+that is the one tree over all steps, so the bytes do not depend on the
+chunking, and a build's memory stays near 1 MiB at any step count.  In the
+frame turning with the drive axis each stroke has an exact closed form, the
+reference for the integration error.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 from .qubit_algebra import (
     IDENTITY,
-    SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     unitarity_residual,
@@ -33,6 +36,9 @@ from .qubit_algebra import (
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
+STEP_CHUNK = 1 << 12
+# the largest step count a build accepts: about a minute of building
+MAX_STEPS = 1 << 27
 
 
 class Segment(enum.Enum):
@@ -50,11 +56,6 @@ class DriveSpec:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValidationError("tau must be finite and > 0")
-
-    def time_window(self) -> tuple[float, float]:
-        if self.segment is Segment.I:
-            return 0.0, self.tau
-        return self.tau, 2.0 * self.tau
 
 
 @dataclass(frozen=True)
@@ -74,51 +75,40 @@ def _axis_angle(segment: Segment, tau, t):
     return np.pi * (2.0 * tau - t) / (2.0 * tau)
 
 
-def driving_hamiltonian(spec: DriveSpec, t: float) -> np.ndarray:
-    """H(t) = (cos(theta) sigma_z + sin(theta) sigma_x)/2 in units of hbar_omega.
-
-    The axis rotates; the gap never changes, so the eigenvalues are exactly
-    +-1/2 for every t in the segment.
-    """
-    lo, hi = spec.time_window()
-    if not (lo <= t <= hi):
-        raise ValidationError(f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]")
-    theta = _axis_angle(spec.segment, spec.tau, t)
-    return 0.5 * (math.cos(theta) * SIGMA_Z + math.sin(theta) * SIGMA_X)
-
-
-def _drive_step_factors(tau: float, segments: Sequence[Segment],
-                        steps: int) -> np.ndarray:
-    """Exact midpoint exponentials exp(-i H(t_mid) dt), vectorized.
-
-    One stack of ``steps`` factors per segment: the shape is
-    (len(segments), steps, 2, 2).
+def _drive_step_factors(tau: float, segments: Sequence[Segment], steps: int,
+                        start: int, stop: int) -> np.ndarray:
+    """Exact midpoint exponentials exp(-i H(t_mid) dt) of the steps in the
+    window [start, stop) of ``steps``, vectorized: one stack per segment, the
+    shape is (len(segments), stop - start, 2, 2).
     """
     dt = tau / steps
     # rotation by angle dt about the unit axis (sin theta, 0, cos theta)
     c, s = math.cos(0.5 * dt), math.sin(0.5 * dt)
-    f = np.empty((len(segments), steps, 2, 2), dtype=complex)
+    mid = (np.arange(start, stop) + 0.5) * dt
+    f = np.empty((len(segments), stop - start, 2, 2), dtype=complex)
     for k, segment in enumerate(segments):
         lo = 0.0 if segment is Segment.I else tau
-        theta = _axis_angle(segment, tau, lo + (np.arange(steps) + 0.5) * dt)
-        f[k, :, 0, 0] = c - 1j * s * np.cos(theta)
-        f[k, :, 0, 1] = -1j * s * np.sin(theta)
-        f[k, :, 1, 0] = -1j * s * np.sin(theta)
-        f[k, :, 1, 1] = c + 1j * s * np.cos(theta)
+        theta = _axis_angle(segment, tau, lo + mid)
+        cos = np.cos(theta)
+        f[k, :, 0, 0] = c - 1j * s * cos
+        f[k, :, 0, 1] = f[k, :, 1, 0] = -1j * s * np.sin(theta)
+        f[k, :, 1, 1] = c + 1j * s * cos
     return f
 
 
-def _ordered_product(factors: np.ndarray) -> np.ndarray:
+def _ordered_product(factors: np.ndarray, leaves: int | None = None) -> np.ndarray:
     """Product factors[-1] @ ... @ factors[0] along the step axis (third
     from last) by pairwise tree reduction; any leading axes are a batch.
 
-    Each reduction level is re-projected onto the unitary manifold with one
-    Newton-Schulz polar step; plain accumulation drifts off unitarity
-    linearly in the factor count (about N*eps), the projected product stays
-    at the eps*log(N) level without affecting the integration error.
+    The factors are padded with identities to ``leaves``, by default the
+    next power of two.  Each reduction level is re-projected onto the
+    unitary manifold with one Newton-Schulz polar step; plain accumulation
+    drifts off unitarity linearly in the factor count (about N*eps), the
+    projected product stays at the eps*log(N) level without affecting the
+    integration error.
     """
     n = factors.shape[-3]
-    size = 1 << (n - 1).bit_length()
+    size = leaves or 1 << (n - 1).bit_length()
     if size != n:
         pad = np.broadcast_to(IDENTITY, factors.shape[:-3] + (size - n, 2, 2))
         factors = np.concatenate([factors, pad], axis=-3)
@@ -132,8 +122,19 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
 def drive_propagators(tau: float, steps: int,
                       segments: Sequence[Segment] = (Segment.I, Segment.II)) -> np.ndarray:
     """Midpoint-product propagators of the drive duration ``tau`` (finite and
-    > 0, checked by the caller) for each segment, shape (len(segments), 2, 2)."""
-    return _ordered_product(_drive_step_factors(tau, segments, steps))
+    > 0, checked by the caller) for each segment, shape (len(segments), 2, 2).
+
+    A build of at most ``STEP_CHUNK`` steps is one chunk of its own power of
+    two leaves, so small builds reduce exactly as an unchunked tree.
+    """
+    leaves = min(STEP_CHUNK, 1 << (int(steps) - 1).bit_length())
+    starts = range(0, steps, leaves)
+    products = np.empty((len(segments), len(starts), 2, 2), dtype=complex)
+    for i, start in enumerate(starts):
+        # passed on unnamed, so the reduction can free the factors after level one
+        products[:, i] = _ordered_product(
+            _drive_step_factors(tau, segments, steps, start, min(start + leaves, steps)), leaves)
+    return _ordered_product(products)
 
 
 def exact_drive_propagators(taus) -> np.ndarray:
@@ -161,8 +162,8 @@ def exact_drive_propagators(taus) -> np.ndarray:
 
 def time_ordered_propagator(spec: DriveSpec, steps: int) -> PropagatorResult:
     """Midpoint-product propagator over one segment, latest factor leftmost."""
-    if not isinstance(steps, numbers.Integral) or steps < 2:
-        raise ConfigurationError("steps must be an integer >= 2")
+    if not isinstance(steps, numbers.Integral) or not 2 <= steps <= MAX_STEPS:
+        raise ConfigurationError(f"steps must be an integer in [2, {MAX_STEPS}]")
     u = drive_propagators(spec.tau, steps, (spec.segment,))[0]
     return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
 

@@ -4,6 +4,8 @@ The oracles here deliberately avoid the package's evaluation paths:
 ``closed_form_u``/``closed_form_v`` solve the driven stroke exactly in a
 rotating frame, and ``bloch_cycle`` computes the cycle energetics in the
 Bloch-vector representation.  Tests compare the package against these.
+``driving_hamiltonian`` is the definition of H(t) on the package's drive
+angle, which the tests pin at the segment ends and across the segments.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from qmeter import EngineParams, GridSpec, grid_sweep
+from qmeter import EngineParams, GridSpec, Segment, ValidationError, grid_sweep
 from qmeter.cycle import CycleEngine
+from qmeter.propagator import _axis_angle
 
 HBAR_EV_S = 6.582119569e-16
 DEFAULT_OMEGA_TAU = 1e-12 / HBAR_EV_S * 1e-5  # 1 peV gap, 10 us stroke
@@ -30,6 +33,19 @@ def su2(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
     """exp(-i*angle*(n.sigma)/2) for a unit axis n."""
     return (math.cos(angle / 2) * I2
             - 1j * math.sin(angle / 2) * (nx * SX + ny * SY + nz * SZ))
+
+
+def driving_hamiltonian(spec, t: float) -> np.ndarray:
+    """H(t) = (cos(theta) sigma_z + sin(theta) sigma_x)/2 in units of hbar_omega.
+
+    The axis rotates; the gap never changes, so the eigenvalues are exactly
+    +-1/2 for every t in the segment.
+    """
+    lo, hi = (0.0, spec.tau) if spec.segment is Segment.I else (spec.tau, 2.0 * spec.tau)
+    if not (lo <= t <= hi):
+        raise ValidationError(f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]")
+    theta = _axis_angle(spec.segment, spec.tau, t)
+    return 0.5 * (math.cos(theta) * SZ + math.sin(theta) * SX)
 
 
 def closed_form_u(omega_tau: float) -> np.ndarray:

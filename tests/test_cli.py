@@ -15,6 +15,7 @@ from qmeter.cli import (
     main,
     parse_config_file,
 )
+from qmeter.propagator import MAX_STEPS
 
 from conftest import DEFAULT_OMEGA_TAU
 
@@ -384,6 +385,13 @@ def test_sizes_too_large_for_memory_are_config_errors(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     rc, _, err = run_cli(args, capsys)
     assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_steps_past_the_limit_are_config_errors(capsys):
+    rc, out, err = run_cli(["run", "--alpha-rad", "1.0", "--phi-rad", "2.0",
+                            "--steps", str(MAX_STEPS + 1)], capsys)
+    assert rc == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
 

@@ -21,6 +21,7 @@ from qmeter import (
     transition_probabilities,
 )
 from qmeter.errors import InvariantViolation
+from qmeter.propagator import MAX_STEPS
 from qmeter.qubit_algebra import IDENTITY, SIGMA_X, SIGMA_Z
 
 from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, default_params
@@ -266,6 +267,9 @@ def test_engine_params_validation():
         EngineParams(omega_tau=1.0, beta_hbar_omega=-0.5)
     with pytest.raises(ValidationError):
         EngineParams(omega_tau=1.0, beta_hbar_omega=1.0, steps=1)
+    with pytest.raises(ValidationError):
+        EngineParams(omega_tau=1.0, beta_hbar_omega=1.0, steps=MAX_STEPS + 1)
+    assert EngineParams(omega_tau=1.0, beta_hbar_omega=1.0, steps=MAX_STEPS).steps == MAX_STEPS
 
 
 def test_numpy_integer_step_counts_are_accepted():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,19 @@ from hypothesis import strategies as st
 
 import qmeter.propagator
 from qmeter import ConfigurationError, DriveSpec, Segment, ValidationError
-from qmeter import convergence_order, driving_hamiltonian, hermitian_expm, time_ordered_propagator
-from qmeter.propagator import PropagatorResult, _ordered_product, exact_drive_propagators
+from qmeter import convergence_order, hermitian_expm, time_ordered_propagator
+from qmeter.propagator import (
+    MAX_STEPS,
+    STEP_CHUNK,
+    PropagatorResult,
+    _drive_step_factors,
+    _ordered_product,
+    drive_propagators,
+    exact_drive_propagators,
+)
 from qmeter.qubit_algebra import SIGMA_X, SIGMA_Z, eigvals_hermitian, unitarity_residual
 
-from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v
+from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v, driving_hamiltonian
 
 
 def spec(segment=Segment.I, tau=DEFAULT_OMEGA_TAU):
@@ -125,6 +134,32 @@ def test_convergence_rejects_bad_ladders():
 def test_steps_validation():
     with pytest.raises(ConfigurationError):
         time_ordered_propagator(spec(), 1)
+    with pytest.raises(ConfigurationError):
+        time_ordered_propagator(spec(), MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("tau", [0.0152, 152.0])
+@pytest.mark.parametrize("steps", [STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1,
+                                   2 * STEP_CHUNK + 3])
+def test_chunked_build_is_the_whole_tree(steps, tau):
+    # chunks padded to STEP_CHUNK leaves are the subtrees of the one tree
+    # over all steps, so the chunked build matches it bit for bit
+    segments = (Segment.I, Segment.II)
+    whole = _ordered_product(_drive_step_factors(tau, segments, steps, 0, steps))
+    chunked = drive_propagators(tau, steps, segments)
+    assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
+
+
+def test_build_memory_does_not_grow_with_steps():
+    def peak_bytes(steps):
+        tracemalloc.start()
+        try:
+            drive_propagators(0.0152, steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(1 << 16) <= 2 * peak_bytes(STEP_CHUNK)
 
 
 def test_reference_stability():
