@@ -20,7 +20,6 @@ from .cycle import (
 from .errors import ConfigurationError, InvariantViolation, ValidationError
 from .measurement import basis_kets, measure
 from .propagator import (
-    DriveSpec,
     Segment,
     convergence_order,
     time_ordered_propagator,
@@ -48,7 +47,6 @@ __all__ = [
     "ConfigurationError",
     "CycleEngine",
     "DEFAULT_TOLERANCES",
-    "DriveSpec",
     "EngineParams",
     "GridSpec",
     "InvariantViolation",

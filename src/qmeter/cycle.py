@@ -30,9 +30,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ValidationError
 from .measurement import MeasurementBasis, basis_kets, measure
-from .propagator import MAX_STEPS, drive_propagators, exact_drive_propagators
-# not called here, but perfbench/tracer.py patches it in this namespace
-from .propagator import time_ordered_propagator  # noqa: F401
+from .propagator import MAX_STEPS, exact_drive_propagators, time_ordered_propagator
 from .qubit_algebra import (
     KET_DOWN,
     KET_PLUS_X,
@@ -166,11 +164,10 @@ class SampleBatch:
 
 
 @functools.lru_cache(maxsize=32)
-def _propagator_pair(omega_tau: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    u, v = drive_propagators(omega_tau, steps)
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+def _propagator_pair(omega_tau: float, steps: int) -> np.ndarray:
+    pair = time_ordered_propagator(omega_tau, steps)
+    pair.setflags(write=False)
+    return pair
 
 
 def _apply(m: np.ndarray, kets: np.ndarray) -> np.ndarray:

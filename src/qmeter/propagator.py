@@ -3,17 +3,20 @@
 The drive rotates the qubit Hamiltonian axis from z to x (segment I) and back
 (segment II) at a constant gap.  Times are dimensionless phases x = omega*t:
 segment I covers [0, tau], segment II covers [tau, 2*tau] with tau = omega*tau.
+The strokes come in pairs of one duration, so a build is always the pair
+(U, V): U over segment I, before the measurement, and V over segment II,
+after it.
 
 The propagator is a midpoint-sampled product of exact step exponentials
 (second order overall, exactly unitary per step).  Factors are combined by
 pairwise tree reduction, which keeps the evaluation fast at large step counts
 and bit-for-bit deterministic for a given step count.  Each aligned chunk of
-``STEP_CHUNK`` steps is made and reduced on its own, padded with identities
-to exactly ``STEP_CHUNK`` leaves, and the chunk products are reduced last:
-that is the one tree over all steps, so the bytes do not depend on the
-chunking, and a build's memory stays near 1 MiB at any step count.  In the
-frame turning with the drive axis each stroke has an exact closed form, the
-reference for the integration error.
+``STEP_CHUNK`` steps of the pair is made and reduced on its own, padded with
+identities to exactly ``STEP_CHUNK`` leaves, and the chunk products are
+reduced last: that is the one tree over all steps, so the bytes do not depend
+on the chunking, and a build's memory stays near 1 MiB at any step count.  In
+the frame turning with the drive axis each stroke has an exact closed form,
+the reference for the integration error.
 """
 
 from __future__ import annotations
@@ -21,22 +24,16 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .qubit_algebra import (
-    IDENTITY,
-    SIGMA_Y,
-    SIGMA_Z,
-    unitarity_residual,
-)
+from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
-STEP_CHUNK = 1 << 12
+STEP_CHUNK = 1 << 11  # steps of the pair: 4096 factors
 # the largest step count a build accepts: about a minute of building
 MAX_STEPS = 1 << 27
 
@@ -44,25 +41,6 @@ MAX_STEPS = 1 << 27
 class Segment(enum.Enum):
     I = 1
     II = 2
-
-
-@dataclass(frozen=True)
-class DriveSpec:
-    """One driven stroke: duration as dimensionless omega*tau."""
-
-    tau: float
-    segment: Segment
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValidationError("tau must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PropagatorResult:
-    u: np.ndarray
-    steps: int
-    unitarity_residual: float
 
 
 def _axis_angle(segment: Segment, tau, t):
@@ -75,18 +53,17 @@ def _axis_angle(segment: Segment, tau, t):
     return np.pi * (2.0 * tau - t) / (2.0 * tau)
 
 
-def _drive_step_factors(tau: float, segments: Sequence[Segment], steps: int,
-                        start: int, stop: int) -> np.ndarray:
+def _drive_step_factors(tau: float, steps: int, start: int, stop: int) -> np.ndarray:
     """Exact midpoint exponentials exp(-i H(t_mid) dt) of the steps in the
     window [start, stop) of ``steps``, vectorized: one stack per segment, the
-    shape is (len(segments), stop - start, 2, 2).
+    shape is (2, stop - start, 2, 2).
     """
     dt = tau / steps
     # rotation by angle dt about the unit axis (sin theta, 0, cos theta)
     c, s = math.cos(0.5 * dt), math.sin(0.5 * dt)
     mid = (np.arange(start, stop) + 0.5) * dt
-    f = np.empty((len(segments), stop - start, 2, 2), dtype=complex)
-    for k, segment in enumerate(segments):
+    f = np.empty((2, stop - start, 2, 2), dtype=complex)
+    for k, segment in enumerate(Segment):
         lo = 0.0 if segment is Segment.I else tau
         theta = _axis_angle(segment, tau, lo + mid)
         cos = np.cos(theta)
@@ -119,24 +96,6 @@ def _ordered_product(factors: np.ndarray, leaves: int | None = None) -> np.ndarr
     return factors[..., 0, :, :]
 
 
-def drive_propagators(tau: float, steps: int,
-                      segments: Sequence[Segment] = (Segment.I, Segment.II)) -> np.ndarray:
-    """Midpoint-product propagators of the drive duration ``tau`` (finite and
-    > 0, checked by the caller) for each segment, shape (len(segments), 2, 2).
-
-    A build of at most ``STEP_CHUNK`` steps is one chunk of its own power of
-    two leaves, so small builds reduce exactly as an unchunked tree.
-    """
-    leaves = min(STEP_CHUNK, 1 << (int(steps) - 1).bit_length())
-    starts = range(0, steps, leaves)
-    products = np.empty((len(segments), len(starts), 2, 2), dtype=complex)
-    for i, start in enumerate(starts):
-        # passed on unnamed, so the reduction can free the factors after level one
-        products[:, i] = _ordered_product(
-            _drive_step_factors(tau, segments, steps, start, min(start + leaves, steps)), leaves)
-    return _ordered_product(products)
-
-
 def exact_drive_propagators(taus) -> np.ndarray:
     """The exact (U, V) pair of each drive duration in ``taus``, shape
     (len(taus), 2, 2, 2).
@@ -160,36 +119,45 @@ def exact_drive_propagators(taus) -> np.ndarray:
     return np.stack([u, v], axis=1)
 
 
-def time_ordered_propagator(spec: DriveSpec, steps: int) -> PropagatorResult:
-    """Midpoint-product propagator over one segment, latest factor leftmost."""
+def time_ordered_propagator(tau: float, steps: int) -> np.ndarray:
+    """Midpoint-product (U, V) pair of the drive duration ``tau``, shape
+    (2, 2, 2), latest factor leftmost.
+
+    A build of at most ``STEP_CHUNK`` steps is one chunk of its own power of
+    two leaves, so small builds reduce exactly as an unchunked tree.
+    """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValidationError("tau must be finite and > 0")
     if not isinstance(steps, numbers.Integral) or not 2 <= steps <= MAX_STEPS:
         raise ConfigurationError(f"steps must be an integer in [2, {MAX_STEPS}]")
-    u = drive_propagators(spec.tau, steps, (spec.segment,))[0]
-    return PropagatorResult(u=u, steps=steps, unitarity_residual=unitarity_residual(u))
+    steps = int(steps)
+    leaves = min(STEP_CHUNK, 1 << (steps - 1).bit_length())
+    starts = range(0, steps, leaves)
+    products = np.empty((2, len(starts), 2, 2), dtype=complex)
+    for i, start in enumerate(starts):
+        # passed on unnamed, so the reduction can free the factors after level one
+        products[:, i] = _ordered_product(
+            _drive_step_factors(tau, steps, start, min(start + leaves, steps)), leaves)
+    return _ordered_product(products)
 
 
-@dataclass(frozen=True)
-class ConvergenceEstimate:
-    order: float
-    indeterminate: bool
+def convergence_order(tau: float, n_list: Sequence[int]) -> np.ndarray:
+    """Empirical order of each stroke, (U, V): least-squares slope of
+    log(error) against log(N).
 
-
-def convergence_order(spec: DriveSpec, n_list: Sequence[int]) -> ConvergenceEstimate:
-    """Empirical order: least-squares slope of log(error) against log(N).
-
-    Errors are entrywise deviations from the exact propagator.  When every
-    error sits at the roundoff floor the slope is meaningless and the
-    estimate is flagged indeterminate.
+    Errors are entrywise deviations from the exact pair.  A stroke with
+    fewer than two errors above the roundoff floor has no meaningful slope;
+    its order is NaN.
     """
     ns = list(n_list)
     if len(ns) < 3 or sorted(set(ns)) != ns:
         raise ConfigurationError("n_list must be >= 3 strictly ascending step counts")
-    ref = exact_drive_propagators([spec.tau])[0, (Segment.I, Segment.II).index(spec.segment)]
-    errors = [float(np.abs(time_ordered_propagator(spec, n).u - ref).max()) for n in ns]
-    usable = [(n, e) for n, e in zip(ns, errors) if e > ERROR_FLOOR]
-    if len(usable) < 2:
-        return ConvergenceEstimate(order=float("nan"), indeterminate=True)
-    logn = np.log([n for n, _ in usable])
-    loge = np.log([e for _, e in usable])
-    slope = np.polyfit(logn, loge, 1)[0]
-    return ConvergenceEstimate(order=float(-slope), indeterminate=False)
+    ref = exact_drive_propagators([tau])[0]
+    errors = np.array([np.abs(time_ordered_propagator(tau, n) - ref).max(axis=(1, 2))
+                       for n in ns])
+    orders = np.full(2, np.nan)
+    for k, e in enumerate(errors.T):
+        usable = e > ERROR_FLOOR
+        if usable.sum() >= 2:
+            orders[k] = -np.polyfit(np.log(np.array(ns)[usable]), np.log(e[usable]), 1)[0]
+    return orders

@@ -17,10 +17,7 @@ from .errors import ConfigurationError
 from .measurement import basis_kets, measure
 from .propagator import (
     REFERENCE_STEPS,
-    DriveSpec,
-    Segment,
     convergence_order,
-    drive_propagators,
     exact_drive_propagators,
     time_ordered_propagator,
 )
@@ -65,31 +62,25 @@ def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) ->
     worst = unitarity_residual(hermitian_expm(_random_hermitians(rng, samples),
                                               rng.uniform(-10.0, 10.0, samples)))
     for n in (2, 7, 64, 1024, REFERENCE_STEPS):
-        for seg in (Segment.I, Segment.II):
-            res = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=seg), n)
-            worst = max(worst, res.unitarity_residual)
+        worst = max(worst, unitarity_residual(time_ordered_propagator(omega_tau, n)))
     return SuiteResult("unitarity", worst <= TOL.unitarity, worst, TOL.unitarity)
 
 
 def suite_propagator_error(omega_tau: float, steps: int) -> SuiteResult:
     # conservative a-priori bound for the midpoint product on this drive
     bound = TOL.propagator_error / steps**2
-    error = drive_propagators(omega_tau, steps) - exact_drive_propagators([omega_tau])[0]
+    error = time_ordered_propagator(omega_tau, steps) - exact_drive_propagators([omega_tau])[0]
     worst = float(np.abs(error).max())
     return SuiteResult("propagator_error", worst <= bound, worst, bound,
                        detail=f"steps={steps} vs the exact propagator")
 
 
 def suite_convergence(omega_tau: float) -> SuiteResult:
-    worst = 0.0
-    for seg in (Segment.I, Segment.II):
-        est = convergence_order(DriveSpec(tau=omega_tau, segment=seg),
-                                [8, 16, 32, 64, 128, 256, 512])
-        if est.indeterminate:
-            return SuiteResult("convergence_order", False, float("nan"),
-                               TOL.convergence_order,
-                               detail="order indeterminate (errors at floor)")
-        worst = max(worst, abs(est.order - 2.0))
+    orders = convergence_order(omega_tau, [8, 16, 32, 64, 128, 256, 512])
+    if np.isnan(orders).any():
+        return SuiteResult("convergence_order", False, float("nan"), TOL.convergence_order,
+                           detail="order indeterminate (errors at floor)")
+    worst = float(np.abs(orders - 2.0).max())
     return SuiteResult("convergence_order", worst <= TOL.convergence_order, worst,
                        TOL.convergence_order, detail="|order - 2| on both segments")
 

@@ -35,16 +35,16 @@ def su2(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
             - 1j * math.sin(angle / 2) * (nx * SX + ny * SY + nz * SZ))
 
 
-def driving_hamiltonian(spec, t: float) -> np.ndarray:
+def driving_hamiltonian(tau: float, segment: Segment, t: float) -> np.ndarray:
     """H(t) = (cos(theta) sigma_z + sin(theta) sigma_x)/2 in units of hbar_omega.
 
     The axis rotates; the gap never changes, so the eigenvalues are exactly
     +-1/2 for every t in the segment.
     """
-    lo, hi = (0.0, spec.tau) if spec.segment is Segment.I else (spec.tau, 2.0 * spec.tau)
+    lo, hi = (0.0, tau) if segment is Segment.I else (tau, 2.0 * tau)
     if not (lo <= t <= hi):
-        raise ValidationError(f"t={t!r} outside segment {spec.segment.name} range [{lo}, {hi}]")
-    theta = _axis_angle(spec.segment, spec.tau, t)
+        raise ValidationError(f"t={t!r} outside segment {segment.name} range [{lo}, {hi}]")
+    theta = _axis_angle(segment, tau, t)
     return 0.5 * (math.cos(theta) * SZ + math.sin(theta) * SX)
 
 

@@ -374,7 +374,8 @@ def _size_cases(n):
 
 # about 10**15 elements: more than any address space can map, so the
 # allocation fails at once without touching memory; 10**23 and 2**63 - 1 are
-# past numpy's index range, which it reports as ValueError
+# past numpy's index range, which it reports as ValueError.  The run --steps
+# cases stop earlier, at the MAX_STEPS check on entry, before any allocation
 @pytest.mark.parametrize("args", [
     *_size_cases(10**15),
     *_size_cases(10**23),

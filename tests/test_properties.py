@@ -8,8 +8,9 @@ block constant, with drawn nodes placed at the block edges.
 
 The sample batches (``evaluate_samples``, on exact propagator pairs) are
 held to the one-engine path sample by sample, bit for bit, with batch sizes
-on both sides of the block constant.  A two-segment ``drive_propagators``
-build is held to one build per segment.
+on both sides of the block constant.  The chunked propagator build is held
+to one unchunked tree over all steps, bit for bit, at step counts on both
+sides of the chunk boundaries.
 """
 
 import math
@@ -19,9 +20,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmeter import DEFAULT_TOLERANCES as TOL
-from qmeter import CycleEngine, DriveSpec, EngineParams, Segment, time_ordered_propagator
+from qmeter import CycleEngine, EngineParams, time_ordered_propagator
 from qmeter.cycle import NODE_BLOCK, ROW_DTYPE, evaluate_samples
-from qmeter.propagator import drive_propagators, exact_drive_propagators
+from qmeter.propagator import (
+    STEP_CHUNK,
+    _drive_step_factors,
+    _ordered_product,
+    exact_drive_propagators,
+)
 
 from conftest import bloch_cycle, closed_form_u, closed_form_v
 
@@ -96,7 +102,10 @@ def test_batch_of_one_matches_the_batch(engine_params, batch):
 
 omega_taus = st.floats(1e-3, 1e4)
 betas = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
-small_steps = st.sampled_from([2, 3, 8, 16])
+chunked_steps = st.one_of(
+    st.sampled_from([STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1,
+                     3 * STEP_CHUNK]),
+    st.integers(2, 3 * STEP_CHUNK))
 
 
 @st.composite
@@ -130,9 +139,7 @@ def test_evaluate_samples_matches_one_engine_per_sample(batch):
         assert flagged == set(violations)
 
 
-@given(small_steps, omega_taus)
-def test_drive_propagators_match_one_build_per_segment(steps, tau):
-    pair = drive_propagators(tau, steps)
-    for j, segment in enumerate((Segment.I, Segment.II)):
-        u = time_ordered_propagator(DriveSpec(tau=tau, segment=segment), steps).u
-        assert u.tobytes() == pair[j].tobytes()
+@given(chunked_steps, omega_taus)
+def test_chunked_build_is_the_whole_tree_over_the_domain(steps, tau):
+    whole = _ordered_product(_drive_step_factors(tau, steps, 0, steps))
+    assert time_ordered_propagator(tau, steps).tobytes() == whole.tobytes()

@@ -14,7 +14,7 @@ from qmeter import (
     slice_profile,
     symmetry_residual,
 )
-from qmeter.propagator import DriveSpec, Segment, time_ordered_propagator
+from qmeter.propagator import time_ordered_propagator
 from qmeter.sweep import _partner_indices
 
 from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, default_params
@@ -110,7 +110,7 @@ def test_optima_under_adjoint_propagators():
     # (1.45, 2.53) and entropy-change minimum at (1.46, 2.74); this pins the
     # sweep and refinement machinery against known coordinates
     omega_tau = 9.75
-    u = time_ordered_propagator(DriveSpec(tau=omega_tau, segment=Segment.I), 4096).u
+    u = time_ordered_propagator(omega_tau, 4096)[0]
     ud = u.conj().T
     params = EngineParams(omega_tau=omega_tau, beta_hbar_omega=1.0, steps=4096)
     engine = CycleEngine(params, propagators=(ud, ud))

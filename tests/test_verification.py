@@ -9,9 +9,9 @@ import pytest
 import qmeter.cycle
 import qmeter.verification
 from qmeter import DEFAULT_TOLERANCES as TOL
-from qmeter import CycleEngine, DriveSpec, EngineParams, Segment, measurement
+from qmeter import CycleEngine, EngineParams, measurement
 from qmeter import basis_kets, gibbs_state, hermitian_expm, measure, time_ordered_propagator
-from qmeter.propagator import PropagatorResult, exact_drive_propagators
+from qmeter.propagator import exact_drive_propagators
 from qmeter.qubit_algebra import (
     IDENTITY,
     hermiticity_residual,
@@ -105,7 +105,7 @@ def test_suites_with_no_eligible_sample_fail(monkeypatch):
 def test_stacked_unitarity_suite_matches_the_per_sample_loop(monkeypatch):
     # a perfect step ladder leaves the random exponentials as the worst case
     monkeypatch.setattr(qmeter.verification, "time_ordered_propagator",
-                        lambda spec, steps: PropagatorResult(IDENTITY, steps, 0.0))
+                        lambda tau, steps: np.stack([IDENTITY, IDENTITY]))
     result = suite_unitarity(np.random.default_rng(3), DEFAULT_OMEGA_TAU, SAMPLES)
     rng = np.random.default_rng(3)
     hs, ts = _random_hermitians(rng, SAMPLES), rng.uniform(-10.0, 10.0, SAMPLES)
@@ -147,8 +147,8 @@ def test_stacked_channel_suite_matches_the_per_sample_loop(rehermitize):
 @pytest.mark.parametrize("omega_tau", [DEFAULT_OMEGA_TAU, 1.0, 9.75, 152.0])
 def test_propagator_error_is_the_true_integration_error(omega_tau):
     true_error = max(
-        np.abs(time_ordered_propagator(DriveSpec(tau=omega_tau, segment=segment), 1024).u
-               - oracle(omega_tau)).max()
-        for segment, oracle in ((Segment.I, closed_form_u), (Segment.II, closed_form_v)))
+        np.abs(u - oracle(omega_tau)).max()
+        for u, oracle in zip(time_ordered_propagator(omega_tau, 1024),
+                             (closed_form_u, closed_form_v)))
     result = suite_propagator_error(omega_tau, 1024)
     assert result.max_residual == pytest.approx(true_error, rel=1e-6)
