@@ -48,6 +48,7 @@ CSV_FIELDS = CSV_HEADER.split(",")
 SLICE_HEADER = "alpha,phi,w_ext,q_m,eta,ds,zeta,delta,gamma,dp3,dp4"
 SLICE_FIELDS = SLICE_HEADER.split(",")
 CSV_BLOCK = 512  # rows formatted per write
+CSV_SAMPLE = 1024  # values per strided sample, and per chunk, of a column read for repeats
 
 BETA_TOKEN = "inverse_hbar_omega"
 
@@ -167,18 +168,49 @@ def open_output(path: Path) -> TextIO:
     return path.open("w", newline="")
 
 
+def _repeated_tokens(column: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct bit patterns of a float column, sorted as int64, and the
+    ``fmt`` token of each; None unless they number a quarter of the rows or
+    fewer.
+
+    Keying on bits keeps 0.0 and -0.0 apart.  A strided sample screens the
+    column first, so a column of mostly distinct values stops there.  Sets
+    stand in for np.unique, which imports numpy.ma (about 1.5 MB resident),
+    and np.sort, whose first call maps about 0.4 MB of sort code.
+    """
+    bits = column.view(np.int64)
+    sample = bits[::max(1, bits.size // CSV_SAMPLE)].tolist()
+    if 4 * len(set(sample)) > len(sample):
+        return None
+    distinct: set[int] = set()
+    for start in range(0, bits.size, CSV_SAMPLE):
+        distinct.update(bits[start:start + CSV_SAMPLE].tolist())
+        if 4 * len(distinct) > bits.size:
+            return None
+    ordered = np.array(sorted(distinct), dtype=np.int64)
+    return ordered, np.array([fmt(v) for v in ordered.view(float).tolist()], dtype=object)
+
+
 def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     """Header plus one line of ``fmt`` tokens per structured row.
 
-    Rows are converted ``CSV_BLOCK`` at a time, so the Python objects held
-    at once do not grow with the table.
+    A column with few distinct values, such as the grid angles, has each
+    of them formatted once; its tokens enter the line as strings, looked up
+    for each block of rows.  Rows are converted ``CSV_BLOCK`` at a time, so
+    the Python objects held at once do not grow with the table.
     """
-    line = ",".join(["%.17g"] * len(fields)) + "\n"
+    repeated = [_repeated_tokens(rows[name]) for name in fields]
+    line = ",".join("%.17g" if rep is None else "%s" for rep in repeated) + "\n"
     with open_output(path) as fh:
         fh.write(",".join(fields) + "\n")
         for start in range(0, len(rows), CSV_BLOCK):
-            block = rows[fields][start:start + CSV_BLOCK].tolist()
-            fh.write("".join([line % values for values in block]))
+            block = rows[start:start + CSV_BLOCK]
+            columns = [
+                block[name].tolist() if rep is None
+                else rep[1][np.searchsorted(rep[0], block[name].view(np.int64))].tolist()
+                for name, rep in zip(fields, repeated)
+            ]
+            fh.write("".join([line % values for values in zip(*columns)]))
 
 
 def write_table_csv(table: SweepTable, path: Path) -> None:

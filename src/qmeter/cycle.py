@@ -38,6 +38,7 @@ from .qubit_algebra import (
     SIGMA_X,
     SIGMA_Z,
     gibbs_state,
+    matmul_right,
     require_density_matrix,
     require_unitary,
     tanh,
@@ -215,8 +216,10 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
     """``transition_probabilities`` for a unitary v checked by the caller and
     ``targets = _targets(u)``."""
     # |<chi_k|t>|^2 for k = 1, 2 (first axis) and t = u|down>, |-x> (last
-    # axis), as one small product per node: a single (M, 2) @ (2, 2) product
-    # would round differently with M
+    # axis), as one small product per node.  The matrix is shared on the
+    # left here, and rewriting that as one (M, 2) @ (2, 2) GEMM by
+    # transposing swaps the factors inside each FMA, which moves the last
+    # bit; only a product shared on the right is bit-identical as a GEMM
     to_basis = np.abs(_apply(targets.swapaxes(-1, -2), basis.kets.conj())) ** 2
     zeta, delta = to_basis[1, ..., 0], to_basis[1, ..., 1]
     onto_x = np.abs(_apply(_X_BRAS, targets[..., 0])) ** 2
@@ -382,10 +385,10 @@ class CycleEngine:
 
         # trace path, on (M, 2, 2) density-matrix stacks
         rho3, _ = measure(self.rho2, basis)
-        rho4 = self.v @ rho3 @ self.v_dag
+        rho4 = matmul_right(self.v @ rho3, self.v_dag)
         s3, s4 = von_neumann_entropy(np.array([rho3, rho4]), "rho3, rho4")
-        e3 = trace_2x2(rho3 @ self.h2).real
-        e4 = trace_2x2(rho4 @ self.h1).real
+        e3 = trace_2x2(matmul_right(rho3, self.h2)).real
+        e4 = trace_2x2(matmul_right(rho4, self.h1)).real
         w1 = self.e2 - self.e1
         q_m = e3 - self.e2
         w2 = e4 - e3

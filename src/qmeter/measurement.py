@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .qubit_algebra import IDENTITY, require_density_matrix, trace_2x2
+from .qubit_algebra import IDENTITY, matmul_right, require_density_matrix, trace_2x2
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 TWO_PI = 2.0 * math.pi
@@ -28,12 +28,14 @@ class MeasurementBasis:
 
     The global phases follow these formulas exactly; probabilities are
     phase-free but intermediate overlap checks are not.  ``kets`` stacks
-    (chi1, chi2) on its first axis; with array angles a node axis follows.
+    (chi1, chi2) on its first axis and ``projectors`` (pi1, pi2); with
+    array angles a node axis follows.
     """
 
     alpha: float | np.ndarray
     phi: float | np.ndarray
     kets: np.ndarray = field(repr=False)  # shape (2, ..., 2)
+    projectors: np.ndarray = field(repr=False)  # shape (2, ..., 2, 2)
 
     @property
     def chi1(self) -> np.ndarray:
@@ -42,10 +44,6 @@ class MeasurementBasis:
     @property
     def chi2(self) -> np.ndarray:
         return self.kets[1]
-
-    def projectors(self) -> np.ndarray:
-        """(pi1, pi2) stacked on the first axis."""
-        return _outer(self.kets)
 
 
 def _outer(ket: np.ndarray) -> np.ndarray:
@@ -89,7 +87,7 @@ def basis_kets(alpha, phi) -> MeasurementBasis:
         raise ValidationError(
             f"basis not orthonormal: overlap {overlap:.3e}, completeness {completeness:.3e}"
         )
-    return MeasurementBasis(alpha=alpha, phi=phi, kets=kets)
+    return MeasurementBasis(alpha=alpha, phi=phi, kets=kets, projectors=proj)
 
 
 def measure(
@@ -106,8 +104,8 @@ def measure(
     suite and must not be used otherwise.
     """
     rho = require_density_matrix(rho)
-    proj = basis.projectors()
-    proj_rho = proj @ rho
+    proj = basis.projectors
+    proj_rho = matmul_right(proj, rho)
     post = proj_rho @ proj
     post = post[0] + post[1]
     if rehermitize:

@@ -8,12 +8,15 @@ import pytest
 
 from qmeter.cli import (
     BETA_TOKEN,
+    CSV_BLOCK,
     CSV_HEADER,
     RunConfig,
+    _repeated_tokens,
     build_parser,
     fmt,
     main,
     parse_config_file,
+    write_rows_csv,
 )
 from qmeter.propagator import MAX_STEPS
 
@@ -159,6 +162,38 @@ def test_csv_round_trips_byte_identically(tmp_path, capsys):
     for line in lines[1:]:
         rebuilt.append(",".join(fmt(float(token)) for token in line.split(",")))
     assert "\n".join(rebuilt) + "\n" == text
+
+
+def per_row_csv(rows, fields):
+    lines = [",".join(fields)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows[fields].tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def awkward_table(size):
+    """Columns of few distinct values, with 0.0 and -0.0 together, NaN of
+    both signs and +-inf, next to one of all-distinct values."""
+    rows = np.zeros(size, dtype=[("zeros", float), ("specials", float), ("constant", float),
+                                 ("spread", float)])
+    k = np.arange(size)
+    rows["zeros"] = np.array([0.0, -0.0, 1.5])[k % 3]
+    rows["specials"] = np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf])[k % 4]
+    rows["constant"] = -2.25
+    rows["spread"] = np.sin(k + 0.5) * 1e-3
+    rows["spread"][::7] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("size", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+def test_csv_writer_matches_per_row_formatting_byte_for_byte(tmp_path, size):
+    rows = awkward_table(size)
+    fields = ["spread", "zeros", "specials", "constant"]  # not in dtype order
+    if size > 1:  # the few-valued columns take the path that formats each value once
+        assert all(_repeated_tokens(rows[name]) is not None
+                   for name in ("zeros", "specials", "constant"))
+        assert _repeated_tokens(rows["spread"]) is None
+    write_rows_csv(rows, fields, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == per_row_csv(rows, fields).encode()
 
 
 def test_eta_column_uses_nan_token(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_basis_orthonormal_and_complete(rng):
         assert abs(np.vdot(b.chi1, b.chi2)) <= 1e-14
         assert abs(np.linalg.norm(b.chi1) - 1) <= 1e-14
         assert abs(np.linalg.norm(b.chi2) - 1) <= 1e-14
-        p1, p2 = b.projectors()
+        p1, p2 = b.projectors
         assert np.abs(p1 + p2 - IDENTITY).max() <= 1e-14
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qmeter import ValidationError, expectation, gibbs_state, hermitian_expm, pauli, von_neumann_entropy
+from qmeter.cycle import NODE_BLOCK
 from qmeter.qubit_algebra import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
     eigvals_hermitian,
     entropy_from_eigenvalues,
+    matmul_right,
     require_density_matrix,
     unitarity_residual,
 )
@@ -207,3 +209,24 @@ def test_stacked_expectation_equals_one_matrix_calls(rng):
     assert values.tolist() == [expectation(r, a) for r, a in zip(rhos, observables)]
     # one observable against the stack of states
     assert expectation(rhos, SIGMA_Z).tolist() == [expectation(r, SIGMA_Z) for r in rhos]
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("size", [1, 2, 3, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1])
+def test_matmul_right_gemm_has_the_bits_of_the_stacked_product(rng, size, lead):
+    x = random_complex(rng, (*lead, size, 2, 2))
+    m = random_complex(rng, (2, 2))
+    assert matmul_right(x, m).tobytes() == (x @ m).tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 3, NODE_BLOCK + 1])
+def test_matmul_right_keeps_a_stack_of_right_operands_stacked(rng, size):
+    # a sample axis on m pairs x[k] with m[k]; one GEMM against all of m
+    # would give a different shape
+    x = random_complex(rng, (2, size, 2, 2))
+    m = random_complex(rng, (size, 2, 2))
+    assert matmul_right(x, m).tobytes() == (x @ m).tobytes()
