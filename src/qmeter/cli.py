@@ -70,16 +70,10 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
+        # EngineParams checks the duration and temperature; the gap is checked
+        # here, as a negative one would make a negative tau a positive omega_tau
         if not (math.isfinite(self.hbar_omega_pev) and self.hbar_omega_pev > 0):
             raise ConfigurationError("hbar_omega_pev must be positive")
-        if not (math.isfinite(self.tau_us) and self.tau_us > 0):
-            raise ConfigurationError("tau must be positive")
-        if isinstance(self.beta, str) and self.beta != BETA_TOKEN:
-            raise ConfigurationError(
-                f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}"
-            )
-        if isinstance(self.beta, float) and not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ConfigurationError("beta must be >= 0")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
 
@@ -92,12 +86,10 @@ class RunConfig:
             return 1.0
         return self.beta * self.hbar_omega_pev
 
-    def engine_params(self, alpha: float = 0.0, phi: float = 0.0) -> EngineParams:
+    def engine_params(self) -> EngineParams:
         return EngineParams(
             omega_tau=self.omega_tau(),
             beta_hbar_omega=self.beta_hbar_omega(),
-            alpha=alpha,
-            phi=phi,
             steps=self.steps,
         )
 
@@ -130,7 +122,8 @@ def _coerce_beta(text: str) -> str | float:
     try:
         return float(text)
     except ValueError:
-        return text  # validate() rejects it with a proper message
+        raise argparse.ArgumentTypeError(
+            f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -222,22 +215,13 @@ def write_slice_csv(profile: np.ndarray, path: Path) -> None:
 
 
 def _record_pairs(record) -> list[tuple[str, str]]:
-    pairs = [
-        ("alpha", fmt(record.row["alpha"][0])),
-        ("phi", fmt(record.row["phi"][0])),
-        ("omega_tau", fmt(record.params.omega_tau)),
-        ("beta_hbar_omega", fmt(record.params.beta_hbar_omega)),
-        ("steps", str(record.params.steps)),
-        ("w_ext", fmt(record.w_ext)),
-        ("q_m", fmt(record.q_m)),
-        ("q_t", fmt(record.q_t)),
-        ("eta", "undefined" if not record.eta_defined else fmt(record.eta)),
-        ("ds", fmt(record.d_s)),
-        ("xi", fmt(record.probs.xi)),
-        ("zeta", fmt(record.probs.zeta)),
-        ("delta", fmt(record.probs.delta)),
-        ("gamma", fmt(record.probs.gamma)),
-    ]
+    """``run``'s record: the node's CSV row, the engine inputs after the angles."""
+    row, params = record.row[0], record.params
+    node = [(name, "undefined" if name == "eta" and math.isnan(row[name]) else fmt(row[name]))
+            for name in CSV_FIELDS]
+    pairs = [*node[:2], ("omega_tau", fmt(params.omega_tau)),
+             ("beta_hbar_omega", fmt(params.beta_hbar_omega)), ("steps", str(params.steps)),
+             *node[2:]]
     pairs.extend((f"residual_{k}", fmt(v)) for k, v in sorted(record.residuals.items()))
     pairs.append(("residual_max", fmt(max(record.residuals.values()))))
     return pairs
@@ -247,7 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.alpha_rad is None or config.phi_rad is None:
         raise ConfigurationError("run requires alpha_rad and phi_rad")
-    record = run_cycle(config.engine_params(config.alpha_rad, config.phi_rad))
+    record = run_cycle(config.engine_params(), config.alpha_rad, config.phi_rad)
     for key, value in _record_pairs(record):
         print(f"{key}={value}")
     if args.csv:
@@ -259,8 +243,8 @@ def _parse_objectives(raw: str) -> list[Objective]:
     names = [token.strip() for token in raw.split(",") if token.strip()]
     if not names:
         raise ConfigurationError("no objectives given")
-    try:
-        return [Objective(name) for name in names]
+    try:  # a repeated objective is refined once
+        return list(dict.fromkeys(Objective(name) for name in names))
     except ValueError:
         valid = ", ".join(o.value for o in Objective)
         raise ConfigurationError(f"objectives must be among: {valid}") from None

@@ -66,13 +66,11 @@ ROW_DTYPE = np.dtype([
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Physical and numerical configuration of one cycle evaluation, with
-    energies in units of hbar_omega."""
+    """What builds an engine, with energies in units of hbar_omega; the
+    node (alpha, phi) is an argument of each evaluation."""
 
     omega_tau: float
     beta_hbar_omega: float
-    alpha: float = 0.0
-    phi: float = 0.0
     steps: int = 1024
 
     def __post_init__(self):
@@ -469,10 +467,10 @@ def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
     return SampleBatch(rows=rows, residuals=residuals, checks=checks)
 
 
-def run_cycle(params: EngineParams) -> CycleRecord:
-    """Execute one full cycle at the given parameters.
+def run_cycle(params: EngineParams, alpha: float, phi: float) -> CycleRecord:
+    """Execute one full cycle of the engine ``params`` at the node (alpha, phi).
 
     Raises InvariantViolation (carrying the residuals) if any cycle invariant
     fails; an undefined efficiency is a flag, not an error.
     """
-    return CycleEngine(params).evaluate(params.alpha, params.phi)
+    return CycleEngine(params).evaluate(alpha, phi)

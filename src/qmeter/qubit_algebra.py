@@ -97,12 +97,8 @@ def _over_b(x, b):
     return np.divide(x, b, out=np.zeros(np.broadcast(x, b).shape), where=b > 0.0)
 
 
-def eigvals_hermitian(h: np.ndarray, name: str = "matrix"):
-    """Closed-form (ascending) eigenvalues of a Hermitian 2x2 matrix or stack."""
-    return _eigvals(require_hermitian(h, name))
-
-
 def _eigvals(h: np.ndarray):
+    """Closed-form (ascending) eigenvalues of a Hermitian 2x2 matrix or stack."""
     a, b = _two_level(h)
     return a - b, a + b
 

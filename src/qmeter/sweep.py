@@ -58,13 +58,9 @@ class SweepTable:
     rows: np.ndarray = field(repr=False)  # structured, ROW_DTYPE, row-major
     flagged: int
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[name]
-
 
 @dataclass(frozen=True)
 class Extremum:
-    objective: Objective
     alpha_star: float
     phi_star: float
     value: float
@@ -131,8 +127,8 @@ def locate_extrema(
             )
         h_a /= ZOOM
         h_p /= ZOOM
-    return Extremum(objective=objective, alpha_star=best_a, phi_star=best_p,
-                    value=best_v, refinement_rounds=REFINE_ROUNDS)
+    return Extremum(alpha_star=best_a, phi_star=best_p, value=best_v,
+                    refinement_rounds=REFINE_ROUNDS)
 
 
 def _partner_indices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

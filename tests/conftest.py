@@ -114,9 +114,8 @@ def pytest_configure(config):
     settings.load_profile("qmeter")
 
 
-def default_params(alpha: float = 0.0, phi: float = 0.0, steps: int = 1024) -> EngineParams:
-    return EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=1.0,
-                        alpha=alpha, phi=phi, steps=steps)
+def default_params(steps: int = 1024) -> EngineParams:
+    return EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=1.0, steps=steps)
 
 
 @pytest.fixture(scope="session")

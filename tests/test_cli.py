@@ -65,7 +65,43 @@ def test_run_rejects_negative_tau(capsys):
     rc, _, err = run_cli(["run", "--alpha-rad", "1.0", "--phi-rad", "0.0",
                           "--tau-us", "-1"], capsys)
     assert rc == 1
-    assert "tau must be positive" in err
+    assert "omega_tau must be finite and > 0" in err
+
+
+BAD_INPUTS = {
+    "tau-negative": ["--tau-us", "-1"],
+    "tau-zero": ["--tau-us", "0"],
+    "tau-nan": ["--tau-us", "nan"],
+    "beta-negative": ["--beta", "-1"],
+    "beta-nan": ["--beta", "nan"],
+    "beta-token": ["--beta", "bogus"],
+    "gap-zero": ["--hbar-omega-pev", "0"],
+    # a negative gap times a negative duration is a positive omega_tau
+    "gap-and-tau-negative": ["--hbar-omega-pev", "-1", "--tau-us", "-1"],
+}
+BAD_INPUT_COMMANDS = {
+    "run": ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0"],
+    "sweep": ["sweep", "--output", "{tmp}/out"],
+    "slice": ["slice", "--fixed-phi", "1", "--output", "{tmp}/slice.csv"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("command", BAD_INPUT_COMMANDS)
+@pytest.mark.parametrize("bad", BAD_INPUTS)
+def test_bad_physical_inputs_fail_before_any_work(tmp_path, capsys, monkeypatch, command, bad):
+    import qmeter.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the input checks")
+
+    for name in ("CycleEngine", "run_cycle", "grid_sweep", "slice_profile", "run_all_suites"):
+        monkeypatch.setattr(qmeter.cli, name, no_work)
+    args = [arg.format(tmp=tmp_path) for arg in BAD_INPUT_COMMANDS[command]]
+    rc, out, err = run_cli(args + BAD_INPUTS[bad], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -325,6 +361,18 @@ def test_verify_passes_at_minimal_step_count(capsys):
     assert "[PASS] convergence_order" in out
 
 
+def test_verify_fails_the_propagator_error_of_a_long_drive(capsys):
+    # at omega_tau ~ 152 the 1024-step midpoint error (1.10e-5) exceeds the
+    # bound verify holds it to (9.5e-6); no other suite fails there
+    rc, out, _ = run_cli(["verify", "--tau-us", "1e5", "--samples", "20",
+                          "--grid-alpha-points", "5", "--grid-phi-points", "5"], capsys)
+    assert rc == 2
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] propagator_error: ")
+    residual, tol = re.search(r"max residual (\S+) \(tol (\S+)\)", failed[0]).groups()
+    assert float(residual) > float(tol)
+
+
 def test_verify_detects_injected_fault(capsys):
     rc, out, _ = run_cli([
         "verify", "--samples", "30", "--grid-alpha-points", "9",
@@ -541,6 +589,31 @@ def test_even_phi_grid_fails_before_any_work(tmp_path, capsys, monkeypatch, comm
     assert rc == 1
     assert err == "error: phi grid not symmetric under phi -> phi + pi\n"
     assert not out_dir.exists()
+
+
+def test_a_repeated_objective_is_refined_once(tmp_path, capsys, monkeypatch):
+    import qmeter.cli
+
+    real_locate = qmeter.cli.locate_extrema
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_locate(*args, **kwargs)
+
+    monkeypatch.setattr(qmeter.cli, "locate_extrema", counting)
+    grid = ["--grid-alpha-points", "9", "--grid-phi-points", "9", "--steps", "256"]
+    outputs = []
+    for objectives in ("max_w_ext,max_w_ext", "max_w_ext"):
+        calls.clear()
+        out_dir = tmp_path / objectives
+        rc, out, _ = run_cli(["sweep", *grid, "--objectives", objectives,
+                              "--output", str(out_dir)], capsys)
+        assert rc == 0 and len(calls) == 1
+        outputs.append([out.replace(str(out_dir), "<dir>"),
+                        (out_dir / "sweep.csv").read_bytes(),
+                        (out_dir / "summary.json").read_bytes()])
+    assert outputs[0] == outputs[1]
 
 
 # every path lies under a regular file, so no directory can be made there

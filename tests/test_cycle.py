@@ -59,7 +59,7 @@ def test_commuting_basis_extracted_work_closed_form(default_engine):
 
 def test_infinite_temperature_cycle_is_null():
     record = run_cycle(EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=0.0,
-                                    alpha=1.0, phi=2.0, steps=256))
+                                    steps=256), 1.0, 2.0)
     for value in (record.w1, record.w2, record.q_m, record.q_t, record.w, record.d_s):
         assert abs(value) <= 1e-12
     assert not record.eta_defined
@@ -69,7 +69,7 @@ def test_extracted_work_at_reference_point_against_fine_oracle():
     # frozen from the closed-form rotating-frame propagators pushed through
     # the Bloch-vector oracle; the 65536-step run must land on it
     record = run_cycle(EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=1.0,
-                                    alpha=1.39, phi=2.05, steps=65536))
+                                    steps=65536), 1.39, 2.05)
     assert record.w_ext == pytest.approx(-0.20564360094174, abs=1e-9)
 
 
@@ -152,8 +152,8 @@ def test_occupation_deltas_match_traces(rng):
     for _ in range(50):
         params = EngineParams(
             omega_tau=rng.uniform(0.001, 10.0), beta_hbar_omega=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi), steps=256)
-        record = run_cycle(params)
+            steps=256)
+        record = run_cycle(params, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         dp2_trace = -np.trace(record.rho2 @ SIGMA_X).real
         dp4_trace = -np.trace(record.rho4 @ SIGMA_Z).real
         assert abs(record.analytic.dp[1] - dp2_trace) <= 1e-10
@@ -179,8 +179,8 @@ def test_analytic_matches_trace_over_random_parameters(rng):
     for _ in range(1000):
         params = EngineParams(
             omega_tau=rng.uniform(0.001, 10.0), beta_hbar_omega=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi), steps=256)
-        record = run_cycle(params)
+            steps=256)
+        record = run_cycle(params, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         worst = max(worst, record.residuals["w"], record.residuals["q_m"],
                     record.residuals["q_t"])
     assert worst <= 1e-8
@@ -237,8 +237,8 @@ def test_first_law_and_entropy_invariants(rng):
     for _ in range(300):
         params = EngineParams(
             omega_tau=rng.uniform(0.001, 10.0), beta_hbar_omega=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi), steps=256)
-        record = run_cycle(params)
+            steps=256)
+        record = run_cycle(params, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         assert abs(record.w1 + record.w2 + record.q_m + record.q_t) <= 1e-10
         assert record.q_t <= 1e-12
         assert record.d_s >= -1e-12
@@ -252,8 +252,8 @@ def test_efficiency_reference_relation(rng):
     for _ in range(200):
         params = EngineParams(
             omega_tau=rng.uniform(0.01, 10.0), beta_hbar_omega=rng.uniform(0.1, 10.0),
-            alpha=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi), steps=256)
-        record = run_cycle(params)
+            steps=256)
+        record = run_cycle(params, rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         if record.eta_defined and record.q_m > 1e-6:
             assert record.eta == pytest.approx(1.0 + record.q_t / record.q_m, rel=1e-9)
 
@@ -272,10 +272,9 @@ def test_engine_params_validation():
 
 def test_numpy_integer_step_counts_are_accepted():
     steps = np.int64(256)
-    record = run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0, alpha=1.0,
-                                    phi=2.0, steps=steps))
+    record = run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0, steps=steps), 1.0, 2.0)
     assert record.w_ext == run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0,
-                                                  alpha=1.0, phi=2.0, steps=256)).w_ext
+                                                  steps=256), 1.0, 2.0).w_ext
     assert (time_ordered_propagator(0.3, steps).tobytes()
             == time_ordered_propagator(0.3, 256).tobytes())
 
@@ -327,9 +326,8 @@ def test_invariant_violation_carries_residuals(monkeypatch):
 
 
 def test_run_cycle_is_deterministic():
-    params = EngineParams(omega_tau=0.7, beta_hbar_omega=1.3, alpha=0.9, phi=4.2,
-                          steps=512)
-    a = run_cycle(params)
-    b = run_cycle(params)
+    params = EngineParams(omega_tau=0.7, beta_hbar_omega=1.3, steps=512)
+    a = run_cycle(params, 0.9, 4.2)
+    b = run_cycle(params, 0.9, 4.2)
     assert a.w == b.w and a.q_m == b.q_m and a.d_s == b.d_s
     assert a.rho4.tobytes() == b.rho4.tobytes()

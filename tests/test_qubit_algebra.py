@@ -9,7 +9,7 @@ from qmeter.qubit_algebra import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
-    eigvals_hermitian,
+    _eigvals,
     entropy_from_eigenvalues,
     matmul_right,
     require_density_matrix,
@@ -153,7 +153,7 @@ def test_expectation_rejects_non_hermitian_observable():
 def test_eigvals_match_characteristic_polynomial(rng):
     for _ in range(500):
         h = random_hermitian(rng)
-        lo, hi = eigvals_hermitian(h)
+        lo, hi = _eigvals(h)
         tr = (h[0, 0] + h[1, 1]).real
         det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
         roots = sorted(np.roots([1.0, -tr, det]).real)

@@ -47,7 +47,7 @@ def test_infinite_temperature_sweep_is_flat():
     params = EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=0.0, steps=256)
     table = grid_sweep(GridSpec(base=params, alpha_points=3, phi_points=3))
     assert table.flagged == 0
-    assert np.abs(table.column("w_ext")).max() <= 1e-12
+    assert np.abs(table.rows["w_ext"]).max() <= 1e-12
 
 
 def test_sweeps_are_bitwise_deterministic():
@@ -69,7 +69,7 @@ def test_node_nearest_commuting_point_has_no_fuel(default_table):
 def test_refined_extremum_dominates_grid(default_table, default_engine):
     ext = locate_extrema(default_table, Objective.MAX_W_EXT, default_engine)
     assert ext.refinement_rounds == 3
-    assert ext.value >= np.nanmax(default_table.column("w_ext")) - 1e-12
+    assert ext.value >= np.nanmax(default_table.rows["w_ext"]) - 1e-12
 
 
 def test_default_extrema_regression(default_table, default_engine):
