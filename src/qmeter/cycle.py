@@ -74,6 +74,9 @@ class EngineParams:
     steps: int = 1024
 
     def __post_init__(self):
+        for name in ("omega_tau", "beta_hbar_omega"):  # arrays are for evaluate_samples
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValidationError(f"{name} must be a scalar")
         _check_engine_inputs(self.omega_tau, self.beta_hbar_omega)
         if not isinstance(self.steps, numbers.Integral) or not 2 <= self.steps <= MAX_STEPS:
             raise ValidationError(f"steps must be an integer in [2, {MAX_STEPS}]")
@@ -160,13 +163,6 @@ class SampleBatch:
     rows: np.ndarray = field(repr=False)  # ROW_DTYPE
     residuals: dict[str, np.ndarray] = field(repr=False)
     checks: dict[str, tuple[np.ndarray, float]] = field(repr=False)
-
-
-@functools.lru_cache(maxsize=32)
-def _propagator_pair(omega_tau: float, steps: int) -> np.ndarray:
-    pair = time_ordered_propagator(omega_tau, steps)
-    pair.setflags(write=False)
-    return pair
 
 
 def _apply(m: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -307,7 +303,7 @@ class CycleEngine:
                  propagators: tuple[np.ndarray, np.ndarray] | None = None):
         self.params = params
         if propagators is None:
-            propagators = _propagator_pair(params.omega_tau, params.steps)
+            propagators = time_ordered_propagator(params.omega_tau, params.steps)
         self._prepare(*propagators, params.beta_hbar_omega)
 
     @classmethod

@@ -14,14 +14,17 @@ and bit-for-bit deterministic for a given step count.  Each aligned chunk of
 ``STEP_CHUNK`` steps of the pair is made and reduced on its own, padded with
 identities to exactly ``STEP_CHUNK`` leaves, and the chunk products are
 reduced last: that is the one tree over all steps, so the bytes do not depend
-on the chunking, and a build's memory stays near 1 MiB at any step count.  In
-the frame turning with the drive axis each stroke has an exact closed form,
-the reference for the integration error.
+on the chunking, and a build's memory stays near 1 MiB at any step count.
+Builds are cached by ``(tau, steps)``: the last 32 pairs are kept, read-only,
+and every caller of one duration and step count shares its pair.  In the
+frame turning with the drive axis each stroke has an exact closed form, the
+reference for the integration error.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from typing import Sequence
@@ -121,16 +124,20 @@ def exact_drive_propagators(taus) -> np.ndarray:
 
 def time_ordered_propagator(tau: float, steps: int) -> np.ndarray:
     """Midpoint-product (U, V) pair of the drive duration ``tau``, shape
-    (2, 2, 2), latest factor leftmost.
-
-    A build of at most ``STEP_CHUNK`` steps is one chunk of its own power of
-    two leaves, so small builds reduce exactly as an unchunked tree.
+    (2, 2, 2), latest factor leftmost: read-only, and the one array every
+    call with this ``(tau, steps)`` gets while it stays cached.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValidationError("tau must be finite and > 0")
     if not isinstance(steps, numbers.Integral) or not 2 <= steps <= MAX_STEPS:
         raise ConfigurationError(f"steps must be an integer in [2, {MAX_STEPS}]")
-    steps = int(steps)
+    return _build_pair(float(tau), int(steps))  # numpy scalars share the entry
+
+
+@functools.lru_cache(maxsize=32)
+def _build_pair(tau: float, steps: int) -> np.ndarray:
+    # a build of at most STEP_CHUNK steps is one chunk of its own power of
+    # two leaves, so small builds reduce exactly as an unchunked tree
     leaves = min(STEP_CHUNK, 1 << (steps - 1).bit_length())
     starts = range(0, steps, leaves)
     products = np.empty((2, len(starts), 2, 2), dtype=complex)
@@ -138,7 +145,9 @@ def time_ordered_propagator(tau: float, steps: int) -> np.ndarray:
         # passed on unnamed, so the reduction can free the factors after level one
         products[:, i] = _ordered_product(
             _drive_step_factors(tau, steps, start, min(start + leaves, steps)), leaves)
-    return _ordered_product(products)
+    pair = _ordered_product(products)
+    pair.setflags(write=False)
+    return pair
 
 
 def convergence_order(tau: float, n_list: Sequence[int]) -> np.ndarray:

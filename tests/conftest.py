@@ -17,7 +17,7 @@ import pytest
 
 from qmeter import EngineParams, GridSpec, Segment, ValidationError, grid_sweep
 from qmeter.cycle import CycleEngine
-from qmeter.propagator import _axis_angle
+from qmeter.propagator import _axis_angle, _build_pair
 
 HBAR_EV_S = 6.582119569e-16
 DEFAULT_OMEGA_TAU = 1e-12 / HBAR_EV_S * 1e-5  # 1 peV gap, 10 us stroke
@@ -128,6 +128,15 @@ def default_table(default_engine):
     """Full default-resolution sweep at the default parameters (shared)."""
     grid = GridSpec(base=default_params())
     return grid_sweep(grid, default_engine)
+
+
+@pytest.fixture()
+def fresh_builds():
+    """An empty midpoint build cache, before the test and after it, so a
+    test that counts or measures builds sees none of another test's."""
+    _build_pair.cache_clear()
+    yield _build_pair
+    _build_pair.cache_clear()
 
 
 @pytest.fixture()

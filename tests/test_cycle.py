@@ -270,6 +270,21 @@ def test_engine_params_validation():
     assert EngineParams(omega_tau=1.0, beta_hbar_omega=1.0, steps=MAX_STEPS).steps == MAX_STEPS
 
 
+@pytest.mark.parametrize("field", ["omega_tau", "beta_hbar_omega"])
+def test_engine_params_reject_arrays(field):
+    inputs = {"omega_tau": 0.3, "beta_hbar_omega": 1.0, field: np.array([0.3, 0.4])}
+    with pytest.raises(ValidationError, match=f"{field} must be a scalar"):
+        EngineParams(**inputs)
+
+
+@pytest.mark.parametrize("field", ["omega_tau", "beta_hbar_omega"])
+def test_zero_dimensional_engine_inputs_run(field):
+    inputs = {"omega_tau": 0.3, "beta_hbar_omega": 1.0}
+    record = run_cycle(EngineParams(**inputs), 1.0, 2.0)
+    inputs[field] = np.array(inputs[field])
+    assert run_cycle(EngineParams(**inputs), 1.0, 2.0).row.tobytes() == record.row.tobytes()
+
+
 def test_numpy_integer_step_counts_are_accepted():
     steps = np.int64(256)
     record = run_cycle(EngineParams(omega_tau=0.3, beta_hbar_omega=1.0, steps=steps), 1.0, 2.0)

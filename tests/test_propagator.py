@@ -158,7 +158,7 @@ def test_chunked_build_is_the_whole_tree(steps, tau):
     assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
 
 
-def test_build_memory_does_not_grow_with_steps():
+def test_build_memory_does_not_grow_with_steps(fresh_builds):
     def peak_bytes(steps):
         tracemalloc.start()
         try:
@@ -168,6 +168,47 @@ def test_build_memory_does_not_grow_with_steps():
             tracemalloc.stop()
 
     assert peak_bytes(1 << 16) <= 2 * peak_bytes(STEP_CHUNK)
+
+
+def test_a_repeated_build_returns_the_cached_read_only_pair(fresh_builds):
+    pair = time_ordered_propagator(0.3, 256)
+    assert time_ordered_propagator(0.3, 256) is pair
+    with pytest.raises(ValueError):
+        pair[0, 0, 0] = 1.0
+
+
+def test_a_cache_hit_makes_no_step_factors(fresh_builds, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _drive_step_factors(*args)
+
+    monkeypatch.setattr(qmeter.propagator, "_drive_step_factors", counting)
+    time_ordered_propagator(0.3, 3 * STEP_CHUNK)
+    assert len(calls) == 3
+    time_ordered_propagator(0.3, 3 * STEP_CHUNK)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("tau, steps, error", [
+    (0.0, 64, ValidationError), (math.nan, 64, ValidationError),
+    (0.3, 1, ConfigurationError), (0.3, 64.0, ConfigurationError),
+])
+def test_bad_arguments_raise_on_every_call(fresh_builds, tau, steps, error):
+    # the pair (0.3, 64) is cached, and a float 64.0 must not reach it
+    time_ordered_propagator(0.3, 64)
+    for _ in range(3):
+        with pytest.raises(error):
+            time_ordered_propagator(tau, steps)
+    assert fresh_builds.cache_info().currsize == 1
+
+
+def test_numpy_scalars_share_the_entry_of_python_numbers(fresh_builds):
+    pair = time_ordered_propagator(0.3, 256)
+    assert time_ordered_propagator(np.float64(0.3), np.int64(256)) is pair
+    assert time_ordered_propagator(np.array(0.3), 256) is pair
+    assert fresh_builds.cache_info().misses == 1
 
 
 def test_reference_stability():

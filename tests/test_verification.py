@@ -11,6 +11,7 @@ import qmeter.verification
 from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import CycleEngine, EngineParams, measurement
 from qmeter import basis_kets, gibbs_state, hermitian_expm, measure, time_ordered_propagator
+from qmeter.cli import main
 from qmeter.propagator import exact_drive_propagators
 from qmeter.qubit_algebra import (
     IDENTITY,
@@ -21,12 +22,13 @@ from qmeter.qubit_algebra import (
 from qmeter.verification import (
     _random_hermitians,
     cycle_identity_suites,
+    run_all_suites,
     suite_measurement_channel,
     suite_propagator_error,
     suite_unitarity,
 )
 
-from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v
+from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v, default_params
 
 SAMPLES = 200
 
@@ -152,3 +154,23 @@ def test_propagator_error_is_the_true_integration_error(omega_tau):
                              (closed_form_u, closed_form_v)))
     result = suite_propagator_error(omega_tau, 1024)
     assert result.max_residual == pytest.approx(true_error, rel=1e-6)
+
+
+def test_a_fresh_verify_builds_each_distinct_pair_once(fresh_builds):
+    # 14 calls for a midpoint pair: the unitarity ladder (2, 7, 64, 1024, 65536), the
+    # propagator_error pair (1024), the convergence ladder (8 ... 512) and
+    # the symmetry suite's engine (1024); 11 of them are distinct
+    run_all_suites(default_params(), seed=401, samples=20, grid_points=(9, 9))
+    info = fresh_builds.cache_info()
+    assert (info.misses, info.hits) == (11, 3)
+
+
+def test_a_repeated_verify_builds_nothing(fresh_builds, capsys):
+    args = ["verify", "--seed", "401", "--samples", "20",
+            "--grid-alpha-points", "9", "--grid-phi-points", "9"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    misses = fresh_builds.cache_info().misses
+    assert main(args) == 0
+    assert fresh_builds.cache_info().misses == misses
+    assert capsys.readouterr().out == first
