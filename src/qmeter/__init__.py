@@ -24,13 +24,7 @@ from .propagator import (
     convergence_order,
     time_ordered_propagator,
 )
-from .qubit_algebra import (
-    expectation,
-    gibbs_state,
-    hermitian_expm,
-    pauli,
-    von_neumann_entropy,
-)
+from .qubit_algebra import gibbs_state, hermitian_expm, von_neumann_entropy
 from .sweep import (
     GridSpec,
     Objective,
@@ -58,14 +52,12 @@ __all__ = [
     "analytic_energetics",
     "basis_kets",
     "convergence_order",
-    "expectation",
     "gibbs_state",
     "grid_sweep",
     "hermitian_expm",
     "locate_extrema",
     "measure",
     "occupation_deltas",
-    "pauli",
     "run_cycle",
     "slice_profile",
     "symmetry_residual",

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError
-from .measurement import MeasurementBasis, basis_kets, measure
+from .errors import InvariantViolation, ValidationError, require_within
+from .measurement import MeasurementBasis, _basis, _measure
+from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
 from .propagator import MAX_STEPS, exact_drive_propagators, time_ordered_propagator
 from .qubit_algebra import (
     KET_DOWN,
@@ -37,13 +38,15 @@ from .qubit_algebra import (
     KET_MINUS_X,
     SIGMA_X,
     SIGMA_Z,
+    _density_checks,
+    _eigvals,
+    _entropy,
     gibbs_state,
     matmul_right,
     require_density_matrix,
     require_unitary,
     tanh,
     trace_2x2,
-    von_neumann_entropy,
 )
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
@@ -120,8 +123,8 @@ class CycleRecord:
 
     Scalars for a single node and one value per node for a block; the
     engine's own state (rho1, rho2, w1, s1, s2) keeps its sample axis, if
-    any.  ``checks`` maps each flagged invariant to its values and the bound
-    they must not exceed.
+    any.  ``checks`` maps every invariant the kernel tests to its values and
+    the bound they must not exceed; a node is ``ok`` if each is ``<= bound``.
     """
 
     params: EngineParams | None  # the engine's; None for a sample engine
@@ -193,7 +196,9 @@ def transition_probabilities(
     """
     u = require_unitary(u, "u")
     v = require_unitary(v, "v")
-    return _overlap_probabilities(_targets(u), v, basis)
+    probs, checks = _overlap_probabilities(_targets(u), v, basis)
+    require_within(checks, "transition probabilities")
+    return probs
 
 
 def _targets(u: np.ndarray) -> np.ndarray:
@@ -206,9 +211,9 @@ def _targets(u: np.ndarray) -> np.ndarray:
 
 
 def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
-                           basis: MeasurementBasis) -> TransitionProbs:
+                           basis: MeasurementBasis) -> tuple[TransitionProbs, dict]:
     """``transition_probabilities`` for a unitary v checked by the caller and
-    ``targets = _targets(u)``."""
+    ``targets = _targets(u)``, and its per-node check ``completeness``."""
     # |<chi_k|t>|^2 for k = 1, 2 (first axis) and t = u|down>, |-x> (last
     # axis), as one small product per node.  The matrix is shared on the
     # left here, and rewriting that as one (M, 2) @ (2, 2) GEMM by
@@ -221,13 +226,12 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
     v_chi1 = np.abs(_apply(v, basis.chi1)) ** 2  # onto |up>, |down>
     gamma = v_chi1[..., 0]
     # completeness against the complementary amplitudes
-    worst = max(np.abs(to_basis[0] + to_basis[1] - 1.0).max(),
-                np.abs(xi + xi_rest - 1.0).max(),
-                np.abs(v_chi1[..., 0] + v_chi1[..., 1] - 1.0).max())
-    if not worst <= TOL.probability:  # NaN fails too
-        raise ValidationError(f"transition probabilities not complete (residual {worst:.3e})")
-    return TransitionProbs(xi=np.full(np.shape(zeta), xi)[()], zeta=zeta, delta=delta,
-                           gamma=gamma)
+    to_chi = np.abs(to_basis[0] + to_basis[1] - 1.0)
+    completeness = np.maximum(np.maximum(to_chi[..., 0], to_chi[..., 1]), np.maximum(
+        np.abs(xi + xi_rest - 1.0), np.abs(v_chi1[..., 0] + v_chi1[..., 1] - 1.0)))
+    probs = TransitionProbs(xi=np.full(np.shape(zeta), xi)[()], zeta=zeta, delta=delta,
+                            gamma=gamma)
+    return probs, {"completeness": (completeness, TOL.probability)}
 
 
 def occupation_deltas(probs: TransitionProbs, beta_hbar_omega: float):
@@ -267,6 +271,13 @@ def analytic_energetics(
     The efficiency is evaluated through both equivalent forms (heat ratio and
     occupation ratio) and their agreement is enforced at ``eta_forms``.
     """
+    analytic, checks = _analytic_energetics(probs, beta_hbar_omega)
+    require_within(checks, "efficiency forms", InvariantViolation)
+    return analytic
+
+
+def _analytic_energetics(probs: TransitionProbs, beta_hbar_omega: float):
+    """``analytic_energetics`` and its per-node check ``eta_forms``."""
     dp1, dp2, dp3, dp4 = occupation_deltas(probs, beta_hbar_omega)
     den_occ = dp2 - dp3
     one_2z = 1.0 - 2.0 * probs.zeta
@@ -278,16 +289,11 @@ def analytic_energetics(
     eta_occ = 1.0 - _ratio(dp1 - dp4, den_occ, np.abs(den_occ) > TOL.fuel)
     eta_heat = 1.0 - _ratio(num_heat, den_heat, np.abs(den_heat) > TOL.fuel)
     # one algebraic identity, so any disagreement is roundoff; the bound
-    # follows its noise floor (NaN where either form is undefined)
-    scale = efficiency_scale(dp1, dp2, dp3, dp4, eta_occ, eta_heat)
-    gap = np.abs(eta_heat - eta_occ)
-    bad = gap > TOL.eta_forms * scale
-    if bad.any():
-        raise InvariantViolation(
-            "efficiency forms disagree",
-            {"eta_forms": float(np.max(gap[bad] / scale[bad]))},
-        )
-    return AnalyticEnergetics(w=w, q_m=q_m, q_t=q_t, eta=eta_occ[()], dp=(dp1, dp2, dp3, dp4))
+    # follows its noise floor (NaN where either form is undefined, and fmax
+    # turns that into 0)
+    gap = np.abs(eta_heat - eta_occ) / efficiency_scale(dp1, dp2, dp3, dp4, eta_occ, eta_heat)
+    return (AnalyticEnergetics(w=w, q_m=q_m, q_t=q_t, eta=eta_occ[()], dp=(dp1, dp2, dp3, dp4)),
+            {"eta_forms": (np.fmax(gap, 0.0), TOL.eta_forms)})
 
 
 class CycleEngine:
@@ -326,9 +332,9 @@ class CycleEngine:
         self.v_dag = self.v.conj().swapaxes(-1, -2)
         self.targets = _targets(self.u)
         self.rho1 = gibbs_state(self.h1, beta)
-        self.rho2 = self.u @ self.rho1 @ self.u.conj().swapaxes(-1, -2)
-        require_density_matrix(self.rho2, "rho2")
-        self.s1, self.s2 = von_neumann_entropy(np.stack([self.rho1, self.rho2]))
+        self.rho2 = require_density_matrix(
+            self.u @ self.rho1 @ self.u.conj().swapaxes(-1, -2), "rho2")
+        self.s1, self.s2 = _entropy(*_eigvals(np.stack([self.rho1, self.rho2])))
         self.e1 = trace_2x2(self.rho1 @ self.h1).real
         self.e2 = trace_2x2(self.rho2 @ self.h2).real
 
@@ -337,8 +343,7 @@ class CycleEngine:
         record, violations = self.evaluate_flagged(alpha, phi)
         if violations:
             raise InvariantViolation(
-                "cycle invariants violated: " + ", ".join(sorted(violations)), violations
-            )
+                "cycle invariants violated: " + ", ".join(sorted(violations)), violations)
         return record
 
     def evaluate_flagged(self, alpha: float, phi: float) -> tuple[CycleRecord, dict[str, float]]:
@@ -349,7 +354,7 @@ class CycleEngine:
         """
         record = self._evaluate_block(alpha, phi, np.empty(1, dtype=ROW_DTYPE))
         violations = {name: float(value) for name, (value, bound) in record.checks.items()
-                      if value > bound}
+                      if not value <= bound}
         return record, violations
 
     def evaluate_nodes(self, alphas, phis) -> np.ndarray:
@@ -372,15 +377,16 @@ class CycleEngine:
         """Both energetics paths for a block of nodes, written into ``out``.
 
         ``alphas`` and ``phis`` are 1-D arrays, or scalars for a single
-        node.  Returns the block's record, whose ``checks`` are the flagged
-        invariants; checks outside that set raise, as they do for one node.
+        node, and the only inputs checked.  Returns the block's record, whose
+        ``checks`` hold every invariant the kernel tests; none raises.
         """
-        basis = basis_kets(alphas, phis)
+        basis, basis_checks = _basis(alphas, phis)
 
         # trace path, on (M, 2, 2) density-matrix stacks
-        rho3, _ = measure(self.rho2, basis)
+        rho3, _, channel_checks = _measure(self.rho2, basis)
         rho4 = matmul_right(self.v @ rho3, self.v_dag)
-        s3, s4 = von_neumann_entropy(np.array([rho3, rho4]), "rho3, rho4")
+        density, eigvals = _density_checks(np.array([rho3, rho4]))
+        s3, s4 = _entropy(*eigvals)
         e3 = trace_2x2(matmul_right(rho3, self.h2)).real
         e4 = trace_2x2(matmul_right(rho4, self.h1)).real
         w1 = self.e2 - self.e1
@@ -393,8 +399,8 @@ class CycleEngine:
         d_s = s3 - self.s2
 
         # closed-form path, from the transition probabilities alone
-        probs = _overlap_probabilities(self.targets, self.v, basis)
-        analytic = analytic_energetics(probs, self.beta)
+        probs, completeness = _overlap_probabilities(self.targets, self.v, basis)
+        analytic, eta_forms = _analytic_energetics(probs, self.beta)
         dp = analytic.dp
 
         # the eta residual is scaled like the forms check, plus the
@@ -418,14 +424,17 @@ class CycleEngine:
             "entropy_decrease": (-d_s, TOL.entropy_decrease),
             "entropy_12": (residuals["entropy_12"], TOL.entropy_equality),
             "entropy_34": (residuals["entropy_34"], TOL.entropy_equality),
+            **basis_checks, **channel_checks, **completeness, **eta_forms,
+            # the worse of rho3 and rho4 at each node
+            **{f"density_34_{name}": (np.maximum(*value), bound)
+               for name, (value, bound) in density.items()},
         }
 
         out["alpha"], out["phi"], out["w_ext"], out["q_m"], out["q_t"] = alphas, phis, -w, q_m, q_t
         out["eta"], out["ds"], out["dp3"], out["dp4"] = eta, d_s, dp[2], dp[3]
         for name in ("xi", "zeta", "delta", "gamma"):
             out[name] = getattr(probs, name)
-        out["ok"] = np.logical_not(
-            functools.reduce(np.logical_or, (v > b for v, b in checks.values())))
+        out["ok"] = functools.reduce(np.logical_and, (v <= b for v, b in checks.values()))
         return CycleRecord(
             params=self.params, row=out, rho1=self.rho1, rho2=self.rho2, rho3=rho3,
             rho4=rho4, w1=w1, w2=w2, q_m=q_m, q_t=q_t, w=w, eta=eta, s1=self.s1,

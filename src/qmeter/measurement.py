@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .qubit_algebra import IDENTITY, matmul_right, require_density_matrix, trace_2x2
+from .errors import ValidationError, require_within
+from .qubit_algebra import IDENTITY, entry_max, matmul_right, require_density_matrix, trace_2x2
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 TWO_PI = 2.0 * math.pi
@@ -71,7 +71,9 @@ def _reduce_angles(alpha, phi):
     return np.minimum(alpha, math.pi), phi
 
 
-def basis_kets(alpha, phi) -> MeasurementBasis:
+def _basis(alpha, phi) -> tuple[MeasurementBasis, dict]:
+    """``basis_kets``, returning its self-check per node, not raised; the
+    angles are still checked, as inputs."""
     alpha, phi = _reduce_angles(alpha, phi)
     c = np.cos(alpha / 2.0)
     s = np.sin(alpha / 2.0)
@@ -80,14 +82,31 @@ def basis_kets(alpha, phi) -> MeasurementBasis:
     kets[0, ..., 0] = kets[1, ..., 1].conj()
     kets[0, ..., 1] = -c
     kets[1, ..., 0] = c
-    overlap = np.abs(_overlap(kets[0], kets[1])).max()
     proj = _outer(kets)
-    completeness = np.abs(proj[0] + proj[1] - IDENTITY).max()
-    if overlap > TOL.basis or completeness > TOL.basis:
-        raise ValidationError(
-            f"basis not orthonormal: overlap {overlap:.3e}, completeness {completeness:.3e}"
-        )
-    return MeasurementBasis(alpha=alpha, phi=phi, kets=kets, projectors=proj)
+    residual = np.maximum(np.abs(_overlap(kets[0], kets[1])),
+                          entry_max(proj[0] + proj[1] - IDENTITY))
+    return (MeasurementBasis(alpha=alpha, phi=phi, kets=kets, projectors=proj),
+            {"basis": (residual, TOL.basis)})
+
+
+def basis_kets(alpha, phi) -> MeasurementBasis:
+    basis, checks = _basis(alpha, phi)
+    require_within(checks, "measurement basis")
+    return basis
+
+
+def _measure(rho: np.ndarray, basis: MeasurementBasis, rehermitize: bool = True):
+    """``measure`` of a checked rho, returning its self-checks per node, not raised."""
+    proj = basis.projectors
+    proj_rho = matmul_right(proj, rho)
+    post = proj_rho @ proj
+    post = post[0] + post[1]
+    if rehermitize:
+        post = 0.5 * (post + post.conj().swapaxes(-1, -2))
+    p1, p2 = trace_2x2(proj_rho).real
+    leak = np.abs(_overlap(basis.chi1, (post @ basis.chi2[..., None])[..., 0]))
+    return post, (p1, p2), {"probability_sum": (np.abs(p1 + p2 - 1.0), TOL.probability),
+                            "channel_leak": (leak, TOL.channel)}
 
 
 def measure(
@@ -103,18 +122,6 @@ def measure(
     ``rehermitize=False`` is a fault-injection hook for the verification
     suite and must not be used otherwise.
     """
-    rho = require_density_matrix(rho)
-    proj = basis.projectors
-    proj_rho = matmul_right(proj, rho)
-    post = proj_rho @ proj
-    post = post[0] + post[1]
-    if rehermitize:
-        post = 0.5 * (post + post.conj().swapaxes(-1, -2))
-    p1, p2 = trace_2x2(proj_rho).real
-    deviation = np.abs(p1 + p2 - 1.0).max()
-    if deviation > TOL.probability:
-        raise ValidationError(f"probabilities miss a sum of 1 by {deviation:.3e}")
-    leak = np.abs(_overlap(basis.chi1, (post @ basis.chi2[..., None])[..., 0])).max()
-    if leak > TOL.channel:
-        raise ValidationError(f"post state not diagonal in the basis (leak {leak:.3e})")
-    return post, (p1, p2)
+    post, probs, checks = _measure(require_density_matrix(rho), basis, rehermitize)
+    require_within(checks, "measurement")
+    return post, probs

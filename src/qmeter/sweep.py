@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cycle import CycleEngine, EngineParams
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError, InvariantViolation, require_within
+from .measurement import TWO_PI
 from .tolerances import DEFAULT_TOLERANCES as TOL
-
-TWO_PI = 2.0 * math.pi
 
 # locate_extrema: refinement rounds, local grid points per axis per round,
 # and the factor by which the window shrinks each round
@@ -121,10 +120,8 @@ def locate_extrema(
         k = best(local)
         if k is not None and sign * local[col][k] > sign * best_v:
             best_a, best_p, best_v = (float(local[name][k]) for name in ("alpha", "phi", col))
-        if sign * (prev - best_v) > TOL.refinement:
-            raise InvariantViolation(
-                "refinement regressed", {"refinement": abs(best_v - prev)}
-            )
+        require_within({"refinement": (sign * (prev - best_v), TOL.refinement)},
+                       "refinement regressed", InvariantViolation)
         h_a /= ZOOM
         h_p /= ZOOM
     return Extremum(alpha_star=best_a, phi_star=best_p, value=best_v,

@@ -145,9 +145,9 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     ok = batch.rows["ok"]
     rows = batch.rows[ok]
     res = {name: values[ok] for name, values in batch.residuals.items()}
-    violation = np.fmax.reduce([np.where(value > bound, value, -math.inf)
-                                for value, bound in batch.checks.values()])
-    first_law = _worst(np.where(ok, batch.residuals["first_law"], violation), 0.0)
+    violation = np.maximum.reduce([np.where(value <= bound, -math.inf, value)  # NaN stays
+                                   for value, bound in batch.checks.values()])
+    first_law = float(np.max(np.where(ok, batch.residuals["first_law"], violation), initial=0.0))
     # signed worst values: these quantities are at most 0 when the check holds
     kelvin = _worst(rows["q_t"], -math.inf)
     entropy = _worst(np.fmax.reduce([res["entropy_12"], res["entropy_34"],

@@ -6,6 +6,8 @@ rotating frame, and ``bloch_cycle`` computes the cycle energetics in the
 Bloch-vector representation.  Tests compare the package against these.
 ``driving_hamiltonian`` is the definition of H(t) on the package's drive
 angle, which the tests pin at the segment ends and across the segments.
+``pauli`` and ``expectation`` are test helpers that the package does not
+use.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ import math
 import numpy as np
 import pytest
 
+from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import EngineParams, GridSpec, Segment, ValidationError, grid_sweep
 from qmeter.cycle import CycleEngine
+from qmeter.errors import require_within
 from qmeter.propagator import _axis_angle, _build_pair
+from qmeter.qubit_algebra import require_density_matrix, require_hermitian, trace_2x2
 
 HBAR_EV_S = 6.582119569e-16
 DEFAULT_OMEGA_TAU = 1e-12 / HBAR_EV_S * 1e-5  # 1 peV gap, 10 us stroke
@@ -27,6 +32,24 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULI = {"x": SX, "y": SY, "z": SZ}
+
+
+def pauli(axis: str) -> np.ndarray:
+    """Return a copy of the Pauli matrix for axis 'x', 'y' or 'z'."""
+    try:
+        return _PAULI[axis].copy()
+    except KeyError:
+        raise ValidationError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
+
+
+def expectation(rho: np.ndarray, a: np.ndarray):
+    """Re Tr(rho A) for Hermitian A; the imaginary leak must stay below tolerance."""
+    rho = require_density_matrix(rho)
+    a = require_hermitian(a, "A")
+    value = trace_2x2(rho @ a)
+    require_within({"imag_leak": (np.abs(value.imag), TOL.imag_leak)}, "Tr(rho A)")
+    return value.real[()]
 
 
 def su2(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:

@@ -1,0 +1,213 @@
+"""Every invariant the node kernel tests is a flag: a fault at one node of a
+sweep marks that node and no other, the sweep still writes every row, and
+``run`` at the node exits 2 naming the check.  The kernel re-validates
+nothing the engine has checked.
+
+Each fault is injected through a name the kernel reaches, and is sized to
+trip one check only."""
+
+import dataclasses
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import qmeter.cycle
+from qmeter import GridSpec, ValidationError, grid_sweep, measurement
+from qmeter.cli import main
+from qmeter.errors import require_within
+
+from conftest import default_params
+
+GRID = GridSpec(base=default_params(steps=256), alpha_points=5, phi_points=5)
+NODE = 7  # alpha = pi/4, phi = pi: fuelled, eta defined, p1 - p2 = 0.33
+
+
+def bump(x, node, delta):
+    """x with ``delta`` added at ``node`` (an index, or ... for one node)."""
+    x = np.array(x, dtype=float)
+    x[node] += delta
+    return x[()]
+
+
+def longer_chi2(monkeypatch, node):
+    # chi2 1e-13 too long: the completeness of the projectors misses by
+    # 2e-13, twenty times the basis bound and far inside every other one
+    real = measurement._outer
+
+    def outer(kets):
+        kets[1, node] *= 1.0 + 1e-13
+        return real(kets)
+
+    monkeypatch.setattr(measurement, "_outer", outer)
+
+
+def off_probability(monkeypatch, node):
+    # the outcome probabilities miss a sum of 1 by 1e-11; nothing else
+    # reads them
+    real = measurement.trace_2x2
+
+    def trace(m):
+        t = real(m)
+        t[0, node] += 1e-11
+        return t
+
+    monkeypatch.setattr(measurement, "trace_2x2", trace)
+
+
+def rotated_projectors(monkeypatch, node):
+    # pi1 + E and pi2 - E with E = 1e-11 (|chi1><chi2| + h.c.): still
+    # complete, Hermitian and trace-preserving to 1e-22, but the post state
+    # keeps an off-diagonal element of about 1e-11 (p1 - p2)
+    real = measurement._outer
+
+    def outer(kets):
+        proj = real(kets)
+        chi1, chi2 = kets[0, node], kets[1, node]
+        e = 1e-11 * (np.outer(chi1, chi2.conj()) + np.outer(chi2, chi1.conj()))
+        proj[0, node] += e
+        proj[1, node] -= e
+        return proj
+
+    monkeypatch.setattr(measurement, "_outer", outer)
+
+
+def longer_chi1_overlaps(monkeypatch, node):
+    # chi1 1e-11 too long in the transition probabilities only: its two
+    # overlaps no longer complete those of chi2
+    real = qmeter.cycle._overlap_probabilities
+
+    def overlaps(targets, v, basis):
+        kets = basis.kets.copy()
+        kets[0, node] *= 1.0 + 1e-11
+        return real(targets, v, dataclasses.replace(basis, kets=kets))
+
+    monkeypatch.setattr(qmeter.cycle, "_overlap_probabilities", overlaps)
+
+
+def shifted_dp4(monkeypatch, node):
+    # the occupation form of eta sees dp4 off by 1e-9, the heat form does not
+    real = qmeter.cycle.occupation_deltas
+
+    def deltas(probs, beta):
+        dp1, dp2, dp3, dp4 = real(probs, beta)
+        return dp1, dp2, dp3, bump(dp4, node, 1e-9)
+
+    monkeypatch.setattr(qmeter.cycle, "occupation_deltas", deltas)
+
+
+def scaled_rho4(monkeypatch, node):
+    # rho4 = (v rho3) v^dag with a trace of 1 + 1e-11; the energies multiply
+    # by real Hamiltonians, the propagator is complex
+    real = qmeter.cycle.matmul_right
+
+    def product(x, m):
+        out = real(x, m)
+        if m.imag.any():
+            out[node] *= 1.0 + 1e-11
+        return out
+
+    monkeypatch.setattr(qmeter.cycle, "matmul_right", product)
+
+
+FAULTS = {
+    "basis": longer_chi2,
+    "probability_sum": off_probability,
+    "channel_leak": rotated_projectors,
+    "completeness": longer_chi1_overlaps,
+    "eta_forms": shifted_dp4,
+    "density_34_trace": scaled_rho4,
+}
+
+
+def run_cli(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_a_fault_at_one_node_flags_it_and_the_sweep_completes(check, monkeypatch):
+    FAULTS[check](monkeypatch, NODE)
+    table = grid_sweep(GRID)
+    assert table.rows.shape == (25,)
+    assert np.flatnonzero(~table.rows["ok"]).tolist() == [NODE]
+    engine = qmeter.cycle.CycleEngine(GRID.base)
+    monkeypatch.undo()
+    FAULTS[check](monkeypatch, ...)
+    row = table.rows[NODE]
+    _, violations = engine.evaluate_flagged(row["alpha"], row["phi"])
+    assert list(violations) == [check]
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_a_fault_at_one_node_is_a_row_flag_in_sweep_and_exit_2_in_run(
+        check, monkeypatch, tmp_path, capsys):
+    FAULTS[check](monkeypatch, NODE)
+    rc, _, err = run_cli(["sweep", "--grid-alpha-points", "5", "--grid-phi-points", "5",
+                          "--steps", "256", "--output", str(tmp_path)], capsys)
+    assert rc == 0, err
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 25
+    assert json.loads((tmp_path / "summary.json").read_text())["flagged_rows"] == 1
+
+    monkeypatch.undo()
+    FAULTS[check](monkeypatch, ...)
+    alpha, phi = GRID.alphas()[NODE // 5], GRID.phis()[NODE % 5]
+    rc, out, err = run_cli(["run", "--alpha-rad", str(alpha), "--phi-rad", str(phi),
+                            "--steps", "256"], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"invariant violation: cycle invariants violated: {check}\n")
+    assert f"  {check}: " in err
+
+
+def test_require_within_raises_on_the_first_failed_entry_and_on_nan():
+    require_within({"a": (np.array([0.0, 1.0]), 1.0)}, "x")
+    with pytest.raises(ValidationError, match=r"^x: b residual nan > 1\.0e-12$"):
+        require_within({"a": (0.5, 1.0), "b": (np.array([0.0, math.nan]), 1e-12),
+                        "c": (2.0, 1.0)}, "x")
+    with pytest.raises(ValidationError, match="^x: c residual 2.000e"):
+        require_within({"c": (2.0, 1.0), "b": (math.nan, 1.0)}, "x")
+
+
+def test_a_nan_residual_flags_its_node(monkeypatch):
+    real = qmeter.cycle._overlap_probabilities
+
+    def nan_chi1(targets, v, basis):
+        kets = basis.kets.copy()
+        kets[0, 2] = math.nan
+        return real(targets, v, dataclasses.replace(basis, kets=kets))
+
+    monkeypatch.setattr(qmeter.cycle, "_overlap_probabilities", nan_chi1)
+    engine = qmeter.cycle.CycleEngine(GRID.base)
+    rows = engine.evaluate_nodes([0.5, 1.0, 1.5, 2.0], 1.0)
+    assert rows["ok"].tolist() == [True, True, False, True]
+    record = engine._evaluate_block(np.array([0.5, 1.0, 1.5]), np.ones(3), rows[:3].copy())
+    value, bound = record.checks["completeness"]
+    assert math.isnan(value[2]) and value[:2].max() <= bound
+
+
+def counting_density_checks(monkeypatch) -> list:
+    """Count calls of require_density_matrix from every qmeter module."""
+    from qmeter import qubit_algebra
+
+    real = qubit_algebra.require_density_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qmeter") and getattr(module, "require_density_matrix", None) is real:
+            monkeypatch.setattr(module, "require_density_matrix", counted)
+    return calls
+
+
+def test_the_engine_checks_rho2_once_and_the_sweep_checks_nothing_again(monkeypatch):
+    calls = counting_density_checks(monkeypatch)
+    engine = qmeter.cycle.CycleEngine(default_params())
+    assert len(calls) == 1
+    grid_sweep(GridSpec(base=default_params()), engine)
+    assert len(calls) == 1

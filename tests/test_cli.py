@@ -170,14 +170,14 @@ def test_sweep_with_every_row_flagged_reports_null_extrema(tmp_path, capsys, mon
     import qmeter.cycle
     from qmeter import measurement
 
-    real_measure = measurement.measure
+    real_measure = measurement._measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
     def purifying_measure(rho, basis, rehermitize=True):
-        post, probs = real_measure(rho, basis)
-        return 0.0 * post + ground, probs
+        post, probs, checks = real_measure(rho, basis)
+        return 0.0 * post + ground, probs, checks
 
-    monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
+    monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
     rc, _, err = run_cli([
         "sweep", "--grid-alpha-points", "5", "--grid-phi-points", "5",
         "--steps", "256", "--output", str(tmp_path)], capsys)

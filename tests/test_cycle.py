@@ -309,13 +309,13 @@ def test_eta_residual_at_small_fuel_node():
 def test_eta_residual_catches_a_perturbed_efficiency(monkeypatch, default_engine):
     # an error of 1e-9 in the closed-form eta at the extracted-work peak
     # must still fail the efficiency check
-    real_analytic = qmeter.cycle.analytic_energetics
+    real_analytic = qmeter.cycle._analytic_energetics
 
     def perturbed(*args, **kwargs):
-        out = real_analytic(*args, **kwargs)
-        return dataclasses.replace(out, eta=out.eta + 1e-9)
+        out, checks = real_analytic(*args, **kwargs)
+        return dataclasses.replace(out, eta=out.eta + 1e-9), checks
 
-    monkeypatch.setattr(qmeter.cycle, "analytic_energetics", perturbed)
+    monkeypatch.setattr(qmeter.cycle, "_analytic_energetics", perturbed)
     record, _ = default_engine.evaluate_flagged(0.39269908169872414, 3.1456116832540535)
     assert record.residuals["eta"] > DEFAULT_TOLERANCES.eta_forms
 
@@ -325,14 +325,14 @@ def test_invariant_violation_carries_residuals(monkeypatch):
     # that purifies the state must trip the entropy-gain invariant
     from qmeter import measurement
 
-    real_measure = measurement.measure
+    real_measure = measurement._measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
     def bad_measure(rho, basis, rehermitize=True):
-        post, probs = real_measure(rho, basis)
-        return 0.05 * post + 0.95 * ground, probs
+        post, probs, checks = real_measure(rho, basis)
+        return 0.05 * post + 0.95 * ground, probs, checks
 
-    monkeypatch.setattr(qmeter.cycle, "measure", bad_measure)
+    monkeypatch.setattr(qmeter.cycle, "_measure", bad_measure)
     engine = CycleEngine(default_params())
     with pytest.raises(InvariantViolation) as err:
         engine.evaluate(1.0, 1.0)

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from qmeter import ValidationError, expectation, gibbs_state, hermitian_expm, pauli, von_neumann_entropy
+from qmeter import ValidationError, gibbs_state, hermitian_expm, von_neumann_entropy
 from qmeter.cycle import NODE_BLOCK
 from qmeter.qubit_algebra import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
     _eigvals,
-    entropy_from_eigenvalues,
     matmul_right,
     require_density_matrix,
     unitarity_residual,
 )
 
-from conftest import su2
+from conftest import expectation, pauli, su2
 
 
 def random_hermitian(rng):
@@ -126,7 +125,7 @@ def test_entropy_clamps_roundoff_negative_eigenvalue():
 
 def test_entropy_rejects_genuinely_negative_eigenvalue():
     with pytest.raises(ValidationError):
-        entropy_from_eigenvalues(-5e-12, 1.0 + 5e-12)
+        von_neumann_entropy(np.diag([-5e-12, 1.0 + 5e-12]).astype(complex))
 
 
 def test_entropy_unitary_invariance(rng):

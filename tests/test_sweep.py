@@ -135,14 +135,14 @@ def test_bad_nodes_are_flagged_and_sweep_completes(monkeypatch):
     import qmeter.cycle as cycle_mod
     from qmeter import measurement
 
-    real_measure = measurement.measure
+    real_measure = measurement._measure
     ground = np.outer([0, 1], [0, 1]).astype(complex)
 
     def bad_measure(rho, basis, rehermitize=True):
-        post, probs = real_measure(rho, basis)
-        return 0.05 * post + 0.95 * ground, probs
+        post, probs, checks = real_measure(rho, basis)
+        return 0.05 * post + 0.95 * ground, probs, checks
 
-    monkeypatch.setattr(cycle_mod, "measure", bad_measure)
+    monkeypatch.setattr(cycle_mod, "_measure", bad_measure)
     table = grid_sweep(GridSpec(base=default_params(steps=256),
                                 alpha_points=5, phi_points=5))
     assert table.flagged > 0

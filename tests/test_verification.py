@@ -71,14 +71,14 @@ def test_batched_suites_match_the_per_sample_loop(monkeypatch, faulty):
     if faulty:
         # purifying the post-measurement state for alpha < 1 lowers the
         # entropy there, so about a third of the samples are flagged
-        real_measure = measurement.measure
+        real_measure = measurement._measure
         ground = np.outer([0, 1], [0, 1]).astype(complex)
 
         def purifying_measure(rho, basis, rehermitize=True):
-            post, probs = real_measure(rho, basis, rehermitize)
-            return np.where((basis.alpha < 1.0)[..., None, None], ground, post), probs
+            post, probs, checks = real_measure(rho, basis, rehermitize)
+            return np.where((basis.alpha < 1.0)[..., None, None], ground, post), probs, checks
 
-        monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
+        monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
     results = cycle_identity_suites(np.random.default_rng(3), samples=SAMPLES)
     expected = reference_suites(np.random.default_rng(3), SAMPLES)
     assert {r.name: r.max_residual for r in results} == expected
@@ -90,13 +90,13 @@ def test_suites_with_no_eligible_sample_fail(monkeypatch):
     # a pure post-measurement state lowers the entropy at every node, so
     # every sample is flagged and only the first-law suite sees any
     ground = np.outer([0, 1], [0, 1]).astype(complex)
-    real_measure = measurement.measure
+    real_measure = measurement._measure
 
     def purifying_measure(rho, basis, rehermitize=True):
-        post, probs = real_measure(rho, basis, rehermitize)
-        return 0.0 * post + ground, probs
+        post, probs, checks = real_measure(rho, basis, rehermitize)
+        return 0.0 * post + ground, probs, checks
 
-    monkeypatch.setattr(qmeter.cycle, "measure", purifying_measure)
+    monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
     results = cycle_identity_suites(np.random.default_rng(3), samples=20)
     for r in results:
         assert not r.passed, r.name
