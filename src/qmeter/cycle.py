@@ -2,8 +2,8 @@
 
 The trace definitions (energies as Tr(rho H) differences along the strokes)
 are the ground truth.  The closed-form expressions in terms of transition
-probabilities are a derived view; every ``CycleRecord`` carries the
-residuals between the two, so every run doubles as a self-test.
+probabilities are a derived view; every ``CycleRecord`` bounds the residuals
+between the two in its ``checks``, so every run doubles as a self-test.
 
 Sign bookkeeping: ``w`` is the net work done ON the working substance by the
 external agent; the engine delivers ``w_ext = -w``.  Energies are in units
@@ -117,6 +117,15 @@ class AnalyticEnergetics:
     dp: tuple = field(repr=False)  # occupation_deltas, the forms' inputs
 
 
+# The entries of ``checks`` that ``residuals`` shows, without their bounds.
+RESIDUALS = ("first_law", "w", "q_m", "q_t", "eta", "entropy_12", "entropy_34",
+             "entropy_thermalization")
+
+
+def _residuals(table) -> dict:
+    return {name: table.checks[name][0] for name in RESIDUALS}
+
+
 @dataclass(frozen=True)
 class CycleRecord:
     """Everything the node kernel produced, both paths included.
@@ -146,8 +155,8 @@ class CycleRecord:
     d_s: float
     probs: TransitionProbs
     analytic: AnalyticEnergetics
-    residuals: dict[str, float]
     checks: dict[str, tuple[float, float]] = field(repr=False)
+    residuals = property(_residuals)  # a read-only view of checks
 
     @property
     def w_ext(self) -> float:
@@ -160,12 +169,11 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """What ``evaluate_samples`` returns: the rows, ``residuals`` and
-    ``checks`` of ``CycleRecord``, one entry per sample."""
+    """``evaluate_samples``' rows and ``checks``, one entry per sample."""
 
     rows: np.ndarray = field(repr=False)  # ROW_DTYPE
-    residuals: dict[str, np.ndarray] = field(repr=False)
     checks: dict[str, tuple[np.ndarray, float]] = field(repr=False)
+    residuals = property(_residuals)
 
 
 def _apply(m: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -190,9 +198,9 @@ def transition_probabilities(
     initial eigenstate under v.  delta is the overlap of chi2 with the ground
     eigenstate of the mid-cycle Hamiltonian, taken directly (no propagator):
     only this choice makes the closed-form energetics agree with the trace
-    path identically, which the residuals of every ``CycleRecord`` measure
-    (the tests hold them to 1e-8).  A basis with a node axis gives one value
-    per node.
+    path identically, which the checks ``w``, ``q_m`` and ``q_t`` of every
+    ``CycleRecord`` hold to ``analytic``.  A basis with a node axis gives one
+    value per node.
     """
     u = require_unitary(u, "u")
     v = require_unitary(v, "v")
@@ -401,29 +409,23 @@ class CycleEngine:
         # closed-form path, from the transition probabilities alone
         probs, completeness = _overlap_probabilities(self.targets, self.v, basis)
         analytic, eta_forms = _analytic_energetics(probs, self.beta)
-        dp = analytic.dp
 
-        # the eta residual is scaled like the forms check, plus the
-        # conditioning of the trace path's fuel; NaN where either eta is
-        # undefined, and fmax turns that into 0
+        # scaled like the forms check, plus the conditioning of the trace
+        # path's fuel; NaN where either eta is undefined, which fmax makes 0
         eta_res = np.abs(eta - analytic.eta) / efficiency_scale(
-            *dp, eta, analytic.eta, _ratio(1.0, q_m, fueled))
-        residuals = {
-            "first_law": np.abs(w1 + w2 + q_m + q_t),
-            "w": np.abs(w - analytic.w),
-            "q_m": np.abs(q_m - analytic.q_m),
-            "q_t": np.abs(q_t - analytic.q_t),
-            "eta": np.fmax(eta_res, 0.0),
-            "entropy_12": abs(self.s1 - self.s2),  # the same for every node of an engine
-            "entropy_34": np.abs(s3 - s4),
-            "entropy_thermalization": np.abs((self.s1 - s4) + d_s),
-        }
+            *analytic.dp, eta, analytic.eta, _ratio(1.0, q_m, fueled))
         checks = {
-            "first_law": (residuals["first_law"], TOL.first_law),
+            "first_law": (np.abs(w1 + w2 + q_m + q_t), TOL.first_law),
+            # the trace path against the closed forms
+            "w": (np.abs(w - analytic.w), TOL.analytic),
+            "q_m": (np.abs(q_m - analytic.q_m), TOL.analytic),
+            "q_t": (np.abs(q_t - analytic.q_t), TOL.analytic),
+            "eta": (np.fmax(eta_res, 0.0), TOL.eta_forms),
             "kelvin": (q_t, TOL.kelvin),
             "entropy_decrease": (-d_s, TOL.entropy_decrease),
-            "entropy_12": (residuals["entropy_12"], TOL.entropy_equality),
-            "entropy_34": (residuals["entropy_34"], TOL.entropy_equality),
+            "entropy_12": (abs(self.s1 - self.s2), TOL.entropy_equality),  # one per engine
+            "entropy_34": (np.abs(s3 - s4), TOL.entropy_equality),
+            "entropy_thermalization": (np.abs((self.s1 - s4) + d_s), TOL.entropy_equality),
             **basis_checks, **channel_checks, **completeness, **eta_forms,
             # the worse of rho3 and rho4 at each node
             **{f"density_34_{name}": (np.maximum(*value), bound)
@@ -431,7 +433,7 @@ class CycleEngine:
         }
 
         out["alpha"], out["phi"], out["w_ext"], out["q_m"], out["q_t"] = alphas, phis, -w, q_m, q_t
-        out["eta"], out["ds"], out["dp3"], out["dp4"] = eta, d_s, dp[2], dp[3]
+        out["eta"], out["ds"], out["dp3"], out["dp4"] = eta, d_s, *analytic.dp[2:]
         for name in ("xi", "zeta", "delta", "gamma"):
             out[name] = getattr(probs, name)
         out["ok"] = functools.reduce(np.logical_and, (v <= b for v, b in checks.values()))
@@ -439,7 +441,7 @@ class CycleEngine:
             params=self.params, row=out, rho1=self.rho1, rho2=self.rho2, rho3=rho3,
             rho4=rho4, w1=w1, w2=w2, q_m=q_m, q_t=q_t, w=w, eta=eta, s1=self.s1,
             s2=self.s2, s3=s3, s4=s4, d_s=d_s, probs=probs, analytic=analytic,
-            residuals=residuals, checks=checks)
+            checks=checks)
 
 
 def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
@@ -448,7 +450,7 @@ def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
 
     The four arrays broadcast against each other.  They are checked once
     here by the rules of ``EngineParams``.  Sample k gives the same row and
-    residuals as ``CycleEngine(EngineParams(omega_taus[k], betas[k]),
+    checks as ``CycleEngine(EngineParams(omega_taus[k], betas[k]),
     propagators=exact_drive_propagators([omega_taus[k]])[0])
     .evaluate_flagged(alphas[k], phis[k])``: the engine state carries a
     sample axis through the same kernel, ``NODE_BLOCK`` samples at a time.
@@ -459,17 +461,15 @@ def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
         raise ValidationError("evaluate_samples needs at least one sample")
     _check_engine_inputs(omega_taus, betas)
     rows = np.empty(omega_taus.size, dtype=ROW_DTYPE)
-    blocks = []  # (residuals, checks) of each block's record
+    blocks = []  # the checks of each block's record
     for start in range(0, omega_taus.size, NODE_BLOCK):
         block = slice(start, start + NODE_BLOCK)
         pairs = exact_drive_propagators(omega_taus[block])
         engine = CycleEngine._for_samples(pairs[:, 0], pairs[:, 1], betas[block])
-        record = engine._evaluate_block(alphas[block], phis[block], rows[block])
-        blocks.append((record.residuals, record.checks))
-    residuals = {name: np.concatenate([r[name] for r, _ in blocks]) for name in blocks[0][0]}
-    checks = {name: (np.concatenate([c[name][0] for _, c in blocks]), bound)
-              for name, (_, bound) in blocks[0][1].items()}
-    return SampleBatch(rows=rows, residuals=residuals, checks=checks)
+        blocks.append(engine._evaluate_block(alphas[block], phis[block], rows[block]).checks)
+    checks = {name: (np.concatenate([c[name][0] for c in blocks]), bound)
+              for name, (_, bound) in blocks[0].items()}
+    return SampleBatch(rows=rows, checks=checks)
 
 
 def run_cycle(params: EngineParams, alpha: float, phi: float) -> CycleRecord:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cycle import EngineParams, evaluate_samples
 from .errors import ConfigurationError
-from .measurement import basis_kets, measure
+from .measurement import TWO_PI, basis_kets, measure
 from .propagator import (
     REFERENCE_STEPS,
     convergence_order,
@@ -97,7 +97,7 @@ def suite_measurement_channel(
     """
     rho = _random_states(rng, samples)
     basis = basis_kets(rng.uniform(0.0, math.pi, samples),
-                       rng.uniform(0.0, 2.0 * math.pi, samples))
+                       rng.uniform(0.0, TWO_PI, samples))
     post, (p1, p2) = measure(rho, basis, rehermitize=rehermitize)
     post2, _ = measure(post, basis, rehermitize=rehermitize)
     worst = float(max(
@@ -140,14 +140,14 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     depend on the integration error.
     """
     alpha, phi, omega_tau, beta = rng.uniform(
-        [0.0, 0.0, 0.001, 0.1], [math.pi, 2.0 * math.pi, 10.0, 10.0], size=(samples, 4)).T
+        [0.0, 0.0, 0.001, 0.1], [math.pi, TWO_PI, 10.0, 10.0], size=(samples, 4)).T
     batch = evaluate_samples(omega_tau, beta, alpha, phi)
     ok = batch.rows["ok"]
     rows = batch.rows[ok]
-    res = {name: values[ok] for name, values in batch.residuals.items()}
+    res = {name: values[ok] for name, (values, _) in batch.checks.items()}
     violation = np.maximum.reduce([np.where(value <= bound, -math.inf, value)  # NaN stays
                                    for value, bound in batch.checks.values()])
-    first_law = float(np.max(np.where(ok, batch.residuals["first_law"], violation), initial=0.0))
+    first_law = float(np.max(np.where(ok, batch.checks["first_law"][0], violation), initial=0.0))
     # signed worst values: these quantities are at most 0 when the check holds
     kelvin = _worst(rows["q_t"], -math.inf)
     entropy = _worst(np.fmax.reduce([res["entropy_12"], res["entropy_34"],

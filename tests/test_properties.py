@@ -3,7 +3,10 @@
 The stroke propagators are replaced by the exact rotating-frame solutions
 ``closed_form_u``/``closed_form_v``, so the kernel's two paths can be held
 to the independent Bloch-vector oracle at ``Tolerances.analytic`` for any
-drive duration and temperature.  Batch sizes fall on both sides of the
+drive duration and temperature: ``omega_tau`` log-uniform over 1e-6..1e6,
+``beta`` from 0 to 1e6, and the angles at the poles and at both ends of the
+phi range.  Every drawn node must pass every check of the kernel, the
+agreement of its two paths included.  Batch sizes fall on both sides of the
 block constant, with drawn nodes placed at the block edges.
 
 The sample batches (``evaluate_samples``, on exact propagator pairs) are
@@ -37,7 +40,17 @@ alphas = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
 # across the wrap of phi: both ends of [0, 2*pi] and a little beyond them
 phis = st.one_of(st.sampled_from([0.0, TWO_PI]), st.floats(0.0, TWO_PI),
                  st.floats(-1e-3, 1e-3), st.floats(TWO_PI - 1e-3, TWO_PI + 1e-3))
-engines = st.tuples(st.floats(1e-3, 1e4), st.floats(0.0, 1e3))
+
+
+def log_uniform(lo, hi):
+    """Log-uniform over [lo, hi], with both ends drawn as they are."""
+    return st.one_of(st.sampled_from([lo, hi]),
+                     st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e))
+
+
+omega_taus = log_uniform(1e-6, 1e6)
+betas = st.one_of(st.just(0.0), st.floats(0.0, 1e6), log_uniform(1e-6, 1e6))
+engines = st.tuples(omega_taus, betas)
 sizes = st.sampled_from([1, 2, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, 2 * NODE_BLOCK + 3])
 
 
@@ -100,8 +113,6 @@ def test_batch_of_one_matches_the_batch(engine_params, batch):
         assert record.w_ext == rows["w_ext"][k] and record.d_s == rows["ds"][k]
 
 
-omega_taus = st.floats(1e-3, 1e4)
-betas = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
 chunked_steps = st.one_of(
     st.sampled_from([STEP_CHUNK - 1, STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + 1,
                      3 * STEP_CHUNK]),
