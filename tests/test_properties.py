@@ -144,8 +144,10 @@ def test_evaluate_samples_matches_one_engine_per_sample(batch):
                              propagators=exact_drive_propagators([omega_tau[k]])[0])
         record, violations = engine.evaluate_flagged(alpha[k], phi[k])
         assert record.row.tobytes() == result.rows[k:k + 1].tobytes()
-        for name, value in record.residuals.items():
-            assert np.float64(value).tobytes() == result.residuals[name][k].tobytes(), name
+        assert record.checks.keys() == result.checks.keys()
+        for name, (value, bound) in record.checks.items():
+            assert np.float64(value).tobytes() == result.checks[name][0][k].tobytes(), name
+            assert bound == result.checks[name][1], name
         flagged = {name for name, (values, bound) in result.checks.items() if values[k] > bound}
         assert flagged == set(violations)
 

@@ -1,6 +1,7 @@
 """The batched suites against the per-sample loops they replace, and the
 propagator-error suite against the exact oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,23 @@ def test_suites_with_no_eligible_sample_fail(monkeypatch):
         assert not r.passed, r.name
         if r.name != "first_law":
             assert r.detail == "no eligible sample (0 of 20)", r.name
+
+
+def test_a_flagged_sample_fails_verify_below_the_first_law_bound(monkeypatch):
+    # the closed-form eta moved by 1e-11 trips the eta check (bound 1e-12)
+    # with a violation that stays inside the first-law bound (1e-10)
+    real = qmeter.cycle._analytic_energetics
+
+    def energetics(probs, beta):
+        out, checks = real(probs, beta)
+        return dataclasses.replace(out, eta=out.eta + 1e-11), checks
+
+    monkeypatch.setattr(qmeter.cycle, "_analytic_energetics", energetics)
+    results = {r.name: r for r in cycle_identity_suites(np.random.default_rng(3), SAMPLES)}
+    first_law = results["first_law"]
+    assert TOL.eta_forms < first_law.max_residual <= TOL.first_law
+    assert not first_law.passed
+    assert first_law.detail.endswith(" samples flagged: eta"), first_law.detail
 
 
 def test_stacked_unitarity_suite_matches_the_per_sample_loop(monkeypatch):
