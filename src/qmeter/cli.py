@@ -313,13 +313,12 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = build_config(args)
-    rehermitize = args.inject_fault != "skip-rehermitize"
     results = run_all_suites(
         config.engine_params(),
         seed=config.seed,
         samples=args.samples,
         grid_points=(config.grid_alpha_points, config.grid_phi_points),
-        rehermitize=rehermitize,
+        rehermitize=args.inject_fault != "skip-rehermitize",
     )
     print(f"seed={config.seed}")
     all_passed = True

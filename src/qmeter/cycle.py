@@ -308,17 +308,19 @@ class CycleEngine:
     """Reusable cycle evaluator for fixed (omega_tau, beta, steps).
 
     The propagators and thermal pieces do not depend on the measurement
-    angles, so they are built and validated once here and every node reuses
-    them.  ``propagators=(u, v)`` is a test hook replacing the stroke
-    propagators with arbitrary unitaries.
+    angles, so they are built once here and every node reuses them.
+    ``propagators=(u, v)`` is a test hook replacing the stroke propagators
+    with arbitrary unitaries, and the one pair the engine checks for unitarity.
     """
 
     def __init__(self, params: EngineParams,
                  propagators: tuple[np.ndarray, np.ndarray] | None = None):
         self.params = params
         if propagators is None:
-            propagators = time_ordered_propagator(params.omega_tau, params.steps)
-        self._prepare(*propagators, params.beta_hbar_omega)
+            u, v = time_ordered_propagator(params.omega_tau, params.steps)
+        else:
+            u, v = (require_unitary(m, name) for m, name in zip(propagators, "uv"))
+        self._prepare(u, v, params.beta_hbar_omega)
 
     @classmethod
     def _for_samples(cls, u: np.ndarray, v: np.ndarray, betas: np.ndarray) -> "CycleEngine":
@@ -331,20 +333,18 @@ class CycleEngine:
         return engine
 
     def _prepare(self, u, v, beta) -> None:
-        """Build and check everything that does not depend on the node."""
+        """Build everything that does not depend on the node; check rho2."""
         self.beta = beta
         self.h1 = 0.5 * SIGMA_Z
         self.h2 = 0.5 * SIGMA_X
-        self.u = require_unitary(u, "u")
-        self.v = require_unitary(v, "v")
-        self.v_dag = self.v.conj().swapaxes(-1, -2)
-        self.targets = _targets(self.u)
+        self.u, self.v = u, v
+        self.v_dag = v.conj().swapaxes(-1, -2)
+        self.targets = _targets(u)
         self.rho1 = gibbs_state(self.h1, beta)
-        self.rho2 = require_density_matrix(
-            self.u @ self.rho1 @ self.u.conj().swapaxes(-1, -2), "rho2")
+        self.rho2 = require_density_matrix(u @ self.rho1 @ u.conj().swapaxes(-1, -2), "rho2")
         self.s1, self.s2 = _entropy(*_eigvals(np.stack([self.rho1, self.rho2])))
-        self.e1 = trace_2x2(self.rho1 @ self.h1).real
-        self.e2 = trace_2x2(self.rho2 @ self.h2).real
+        self.e1 = trace_2x2(matmul_right(self.rho1, self.h1)).real
+        self.e2 = trace_2x2(matmul_right(self.rho2, self.h2)).real
 
     def evaluate(self, alpha: float, phi: float) -> CycleRecord:
         """Evaluate one node; raises InvariantViolation on any failed invariant."""

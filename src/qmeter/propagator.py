@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z
+from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z, matmul_right
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
@@ -118,7 +118,7 @@ def exact_drive_propagators(taus) -> np.ndarray:
     y = s * (0.5 * math.pi / theta)[:, None, None] * SIGMA_Y
     r = (IDENTITY - 1j * SIGMA_Y) / math.sqrt(2.0)
     u = r @ (c * IDENTITY - 1j * (z - y))
-    v = (c * IDENTITY - 1j * (z + y)) @ r.conj().T
+    v = matmul_right(c * IDENTITY - 1j * (z + y), r.conj().T)
     return np.stack([u, v], axis=1)
 
 

@@ -122,8 +122,7 @@ def locate_extrema(
             best_a, best_p, best_v = (float(local[name][k]) for name in ("alpha", "phi", col))
         require_within({"refinement": (sign * (prev - best_v), TOL.refinement)},
                        "refinement regressed", InvariantViolation)
-        h_a /= ZOOM
-        h_p /= ZOOM
+        h_a, h_p = h_a / ZOOM, h_p / ZOOM
     return Extremum(alpha_star=best_a, phi_star=best_p, value=best_v,
                     refinement_rounds=REFINE_ROUNDS)
 
@@ -154,13 +153,9 @@ def symmetry_residual(table: SweepTable) -> float:
     content.
     """
     a_partner, p_partner = _partner_indices(table.grid)
-    n_p = table.grid.phi_points
-    w = table.rows["w_ext"].reshape(table.grid.alpha_points, n_p)
-    q_m = table.rows["q_m"].reshape(table.grid.alpha_points, n_p)
-    eta = table.rows["eta"].reshape(table.grid.alpha_points, n_p)
-    w_m = w[a_partner][:, p_partner]
-    q_m_m = q_m[a_partner][:, p_partner]
-    eta_m = eta[a_partner][:, p_partner]
+    shape = (table.grid.alpha_points, table.grid.phi_points)
+    w, q_m, eta = (table.rows[name].reshape(shape) for name in ("w_ext", "q_m", "eta"))
+    w_m, q_m_m, eta_m = (x[a_partner][:, p_partner] for x in (w, q_m, eta))
     residual = float(np.abs(w - w_m).max())
     both = ~np.isnan(eta) & ~np.isnan(eta_m)
     if both.any():

@@ -9,15 +9,18 @@ from qmeter import (
     DEFAULT_TOLERANCES,
     CycleEngine,
     EngineParams,
+    GridSpec,
     TransitionProbs,
     ValidationError,
     analytic_energetics,
     basis_kets,
+    grid_sweep,
     occupation_deltas,
     run_cycle,
     time_ordered_propagator,
     transition_probabilities,
 )
+from qmeter.cycle import evaluate_samples
 from qmeter.errors import InvariantViolation
 from qmeter.propagator import MAX_STEPS
 from qmeter.qubit_algebra import IDENTITY, SIGMA_X, SIGMA_Z
@@ -100,6 +103,26 @@ def test_transition_probs_identity_propagators(rng):
 def test_transition_probs_rejects_non_unitary():
     with pytest.raises(ValidationError):
         transition_probabilities(2.0 * IDENTITY, IDENTITY, basis_kets(1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", ["u", "v"])
+def test_the_engine_checks_a_propagator_pair_handed_to_it(bad):
+    pair = (2 * IDENTITY, IDENTITY) if bad == "u" else (IDENTITY, 2 * IDENTITY)
+    with pytest.raises(ValidationError, match=f"^{bad}: unitarity residual"):
+        CycleEngine(default_params(), propagators=pair)
+
+
+def test_the_engine_does_not_recheck_the_packages_own_propagators(monkeypatch):
+    names = []
+    real = qmeter.cycle.require_unitary
+    monkeypatch.setattr(qmeter.cycle, "require_unitary",
+                        lambda u, name: names.append(name) or real(u, name))
+    run_cycle(default_params(), 1.39, 2.05)
+    grid_sweep(GridSpec(base=default_params(steps=256), alpha_points=5, phi_points=5))
+    evaluate_samples([0.5, 2.0], [1.0, 0.3], [1.0, 2.0], [0.5, 4.0])
+    assert names == []
+    CycleEngine(default_params(), propagators=(IDENTITY, IDENTITY))
+    assert names == ["u", "v"]
 
 
 def test_xi_near_half_for_sudden_drive(default_engine):

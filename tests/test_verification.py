@@ -34,12 +34,36 @@ from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v, default_pa
 SAMPLES = 200
 
 
+# the check-table entries each of these suites reports, and the suite's bound
+TABLE_SUITES = {
+    "kelvin": (("kelvin",), TOL.kelvin),
+    "entropy_equalities": (("entropy_12", "entropy_34", "entropy_thermalization",
+                            "entropy_decrease"), TOL.entropy_equality),
+    "analytic_vs_oracle": (("w", "q_m", "q_t"), TOL.analytic),
+    "efficiency_forms": (("eta",), TOL.eta_forms),
+}
+
+
+def purify_measurement(monkeypatch, below):
+    """Replace the post-measurement state by |down><down| at the nodes with
+    alpha < ``below``: that lowers the entropy there, so those are flagged."""
+    real_measure = measurement._measure
+    ground = np.outer([0, 1], [0, 1]).astype(complex)
+
+    def purifying_measure(rho, basis, rehermitize=True):
+        post, probs, checks = real_measure(rho, basis, rehermitize)
+        return np.where((basis.alpha < below)[..., None, None], ground, post), probs, checks
+
+    monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
+
+
 def reference_suites(rng, samples):
     """Worst value per suite from one engine and one evaluate_flagged call
-    per sample: a sample with violations only feeds its worst one to the
-    first-law suite."""
-    first_law = entropy = analytic = eta_forms = 0.0
-    kelvin = bounds = inequality = -math.inf
+    per sample: every sample feeds the suites of kernel checks, and a sample
+    with violations feeds its worst one to the first-law suite and nothing
+    to the efficiency bounds and the inequality."""
+    first_law = 0.0
+    kelvin = entropy = analytic = eta_forms = bounds = inequality = -math.inf
     for _ in range(samples):
         alpha = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -48,16 +72,16 @@ def reference_suites(rng, samples):
         engine = CycleEngine(EngineParams(omega_tau=omega_tau, beta_hbar_omega=beta),
                              propagators=exact_drive_propagators([omega_tau])[0])
         record, violations = engine.evaluate_flagged(alpha, phi)
-        if violations:
-            first_law = max(first_law, max(violations.values()))
-            continue
         res = record.residuals
-        first_law = max(first_law, res["first_law"])
         kelvin = max(kelvin, record.q_t)
         entropy = max(entropy, res["entropy_12"], res["entropy_34"],
                       res["entropy_thermalization"], -record.d_s)
         analytic = max(analytic, res["w"], res["q_m"], res["q_t"])
         eta_forms = max(eta_forms, res["eta"])
+        if violations:
+            first_law = max(first_law, max(violations.values()))
+            continue
+        first_law = max(first_law, res["first_law"])
         if record.q_m > TOL.fuel and record.w < 0.0:
             bounds = max(bounds, -record.eta, record.eta - 1.0)
         if record.probs.zeta > 1e-6 and record.probs.gamma > 1e-6:
@@ -69,17 +93,8 @@ def reference_suites(rng, samples):
 
 @pytest.mark.parametrize("faulty", [False, True])
 def test_batched_suites_match_the_per_sample_loop(monkeypatch, faulty):
-    if faulty:
-        # purifying the post-measurement state for alpha < 1 lowers the
-        # entropy there, so about a third of the samples are flagged
-        real_measure = measurement._measure
-        ground = np.outer([0, 1], [0, 1]).astype(complex)
-
-        def purifying_measure(rho, basis, rehermitize=True):
-            post, probs, checks = real_measure(rho, basis, rehermitize)
-            return np.where((basis.alpha < 1.0)[..., None, None], ground, post), probs, checks
-
-        monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
+    if faulty:  # about a third of the samples are flagged
+        purify_measurement(monkeypatch, below=1.0)
     results = cycle_identity_suites(np.random.default_rng(3), samples=SAMPLES)
     expected = reference_suites(np.random.default_rng(3), SAMPLES)
     assert {r.name: r.max_residual for r in results} == expected
@@ -87,22 +102,41 @@ def test_batched_suites_match_the_per_sample_loop(monkeypatch, faulty):
     assert first_law.passed is not faulty
 
 
+@pytest.mark.parametrize("faulty", [False, True])
+def test_table_suites_report_their_checks_over_every_sample(monkeypatch, faulty):
+    if faulty:
+        purify_measurement(monkeypatch, below=1.0)
+    batches = []
+    real = qmeter.verification.evaluate_samples
+    monkeypatch.setattr(qmeter.verification, "evaluate_samples",
+                        lambda *args: batches.append(real(*args)) or batches[-1])
+    results = {r.name: r for r in cycle_identity_suites(np.random.default_rng(3), SAMPLES)}
+    (batch,) = batches
+    assert bool(batch.rows["ok"].all()) is not faulty
+    for suite, (names, bound) in TABLE_SUITES.items():
+        worst = max(value for name in names for value in batch.checks[name][0].tolist()
+                    if not math.isnan(value))
+        assert results[suite].max_residual == worst, suite
+        assert results[suite].tolerance == bound, suite
+        assert results[suite].passed == (worst <= bound), suite
+
+
 def test_suites_with_no_eligible_sample_fail(monkeypatch):
     # a pure post-measurement state lowers the entropy at every node, so
-    # every sample is flagged and only the first-law suite sees any
-    ground = np.outer([0, 1], [0, 1]).astype(complex)
-    real_measure = measurement._measure
-
-    def purifying_measure(rho, basis, rehermitize=True):
-        post, probs, checks = real_measure(rho, basis, rehermitize)
-        return 0.0 * post + ground, probs, checks
-
-    monkeypatch.setattr(qmeter.cycle, "_measure", purifying_measure)
-    results = cycle_identity_suites(np.random.default_rng(3), samples=20)
-    for r in results:
-        assert not r.passed, r.name
-        if r.name != "first_law":
-            assert r.detail == "no eligible sample (0 of 20)", r.name
+    # every sample is flagged: the suites of kernel checks still read every
+    # sample, and the efficiency bounds and the inequality have none left
+    purify_measurement(monkeypatch, below=math.inf)
+    results = {r.name: r for r in cycle_identity_suites(np.random.default_rng(3), samples=20)}
+    assert not results["first_law"].passed
+    assert (results["first_law"].detail
+            == "20 of 20 samples flagged: w, q_m, q_t, eta, entropy_decrease")
+    assert [name for name, r in results.items() if r.passed] == ["kelvin"]
+    assert -1e-2 < results["kelvin"].max_residual < 0.0
+    for name in ("entropy_equalities", "analytic_vs_oracle", "efficiency_forms"):
+        assert results[name].max_residual > 0.1, name
+        assert results[name].detail == "", name
+    for name in ("efficiency_bounds", "transition_inequality"):
+        assert results[name].detail == "no eligible sample (0 of 20)", name
 
 
 def test_a_flagged_sample_fails_verify_below_the_first_law_bound(monkeypatch):
