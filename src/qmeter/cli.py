@@ -32,6 +32,7 @@ from .sweep import (
     Objective,
     SweepTable,
     _partner_indices,
+    _slice_nodes,
     grid_sweep,
     locate_extrema,
     slice_profile,
@@ -254,13 +255,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = build_config(args)
     objectives = _parse_objectives(args.objectives)
     params = config.engine_params()
-    grid = GridSpec(base=params, alpha_points=config.grid_alpha_points,
-                    phi_points=config.grid_phi_points)
+    grid = GridSpec(alpha_points=config.grid_alpha_points, phi_points=config.grid_phi_points)
     _partner_indices(grid)  # the symmetry residual needs an odd phi count
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    engine = CycleEngine(params)
-    table = grid_sweep(grid, engine)
+    table = grid_sweep(CycleEngine(params), grid)
 
     summary: dict[str, object] = {
         "params": {
@@ -277,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     for objective in objectives:
         try:
-            extremum = locate_extrema(table, objective, engine)
+            extremum = locate_extrema(table, objective)
         except ConfigurationError:
             # e.g. beta = 0 leaves eta undefined on every row
             summary[objective.value] = None
@@ -304,7 +303,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
         raise ConfigurationError("give exactly one of --fixed-alpha / --fixed-phi")
     fixed = "alpha" if args.fixed_alpha is not None else "phi"
     value = args.fixed_alpha if fixed == "alpha" else args.fixed_phi
-    profile = slice_profile(config.engine_params(), fixed, value, points=args.points)
+    _slice_nodes(fixed, value, args.points)  # a bad slice fails before the engine build
+    profile = slice_profile(CycleEngine(config.engine_params()), fixed, value, points=args.points)
     path = Path(args.output)
     write_slice_csv(profile, path)
     print(f"wrote {path} ({len(profile)} rows)")

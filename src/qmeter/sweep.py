@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams
+from .cycle import CycleEngine
 from .errors import ConfigurationError, InvariantViolation, require_within
 from .measurement import TWO_PI
 from .tolerances import DEFAULT_TOLERANCES as TOL
@@ -36,7 +36,6 @@ class GridSpec:
     which the symmetry check requires.
     """
 
-    base: EngineParams
     alpha_points: int = 257
     phi_points: int = 257
 
@@ -56,6 +55,7 @@ class SweepTable:
     grid: GridSpec
     rows: np.ndarray = field(repr=False)  # structured, ROW_DTYPE, row-major
     flagged: int
+    engine: CycleEngine = field(repr=False)  # the engine that computed rows
 
 
 @dataclass(frozen=True)
@@ -66,25 +66,21 @@ class Extremum:
     refinement_rounds: int
 
 
-def grid_sweep(grid: GridSpec, engine: CycleEngine | None = None) -> SweepTable:
+def grid_sweep(engine: CycleEngine, grid: GridSpec) -> SweepTable:
     """Evaluate one cycle per grid node, row-major by (alpha index, phi index).
 
     Nodes whose cycle invariants fail are kept but flagged; the sweep always
-    completes.  Identical specs produce bitwise-identical tables.
+    completes.  The same engine parameters and grid give bitwise-identical
+    tables, and the table keeps ``engine``.
     """
-    if engine is None:
-        engine = CycleEngine(grid.base)
     rows = engine.evaluate_nodes(np.repeat(grid.alphas(), grid.phi_points),
                                  np.tile(grid.phis(), grid.alpha_points))
-    return SweepTable(grid=grid, rows=rows, flagged=int(np.count_nonzero(~rows["ok"])))
+    return SweepTable(grid=grid, rows=rows, flagged=int(np.count_nonzero(~rows["ok"])),
+                      engine=engine)
 
 
-def locate_extrema(
-    table: SweepTable,
-    objective: Objective,
-    engine: CycleEngine | None = None,
-) -> Extremum:
-    """Best grid node, then nested local-grid refinement around the incumbent.
+def locate_extrema(table: SweepTable, objective: Objective) -> Extremum:
+    """Best grid node, then nested local-grid refinement on ``table.engine``.
 
     Each of ``REFINE_ROUNDS`` rounds evaluates a ``LOCAL_POINTS``^2 grid, as
     one batch, on a window that shrinks by ``ZOOM`` per round.  A node
@@ -107,16 +103,14 @@ def locate_extrema(
     best_p = float(table.rows["phi"][idx])
     best_v = float(table.rows[col][idx])
 
-    if engine is None:
-        engine = CycleEngine(table.grid.base)
     h_a = math.pi / (table.grid.alpha_points - 1)
     h_p = TWO_PI / (table.grid.phi_points - 1)
     for _ in range(REFINE_ROUNDS):
         prev = best_v
         a_grid = np.linspace(max(0.0, best_a - h_a), min(math.pi, best_a + h_a), LOCAL_POINTS)
         p_grid = np.linspace(best_p - h_p, best_p + h_p, LOCAL_POINTS) % TWO_PI
-        local = engine.evaluate_nodes(np.repeat(a_grid, LOCAL_POINTS),
-                                      np.tile(p_grid, LOCAL_POINTS))
+        local = table.engine.evaluate_nodes(np.repeat(a_grid, LOCAL_POINTS),
+                                            np.tile(p_grid, LOCAL_POINTS))
         k = best(local)
         if k is not None and sign * local[col][k] > sign * best_v:
             best_a, best_p, best_v = (float(local[name][k]) for name in ("alpha", "phi", col))
@@ -165,18 +159,8 @@ def symmetry_residual(table: SweepTable) -> float:
     return residual
 
 
-def slice_profile(
-    base: EngineParams,
-    fixed: str,
-    value: float,
-    points: int = 513,
-    engine: CycleEngine | None = None,
-) -> np.ndarray:
-    """Freshly evaluated 1-D profile with one angle pinned, as ROW_DTYPE rows.
-
-    ``fixed`` is "alpha" or "phi"; the free angle runs over its full range on
-    an endpoint-inclusive grid.
-    """
+def _slice_nodes(fixed: str, value: float, points: int) -> tuple:
+    """The (alphas, phis) of ``slice_profile``, after checking its arguments."""
     if fixed not in ("alpha", "phi"):
         raise ConfigurationError("fixed must be 'alpha' or 'phi'")
     if points < 1:
@@ -185,8 +169,15 @@ def slice_profile(
         raise ConfigurationError("fixed alpha outside [0, pi]")
     if fixed == "phi" and not (0.0 <= value <= TWO_PI):
         raise ConfigurationError("fixed phi outside [0, 2*pi]")
-    if engine is None:
-        engine = CycleEngine(base)
     free = (np.linspace(0.0, TWO_PI, points) if fixed == "alpha"
             else np.linspace(0.0, math.pi, points))
-    return engine.evaluate_nodes(*((value, free) if fixed == "alpha" else (free, value)))
+    return (value, free) if fixed == "alpha" else (free, value)
+
+
+def slice_profile(engine: CycleEngine, fixed: str, value: float, points: int = 513) -> np.ndarray:
+    """Freshly evaluated 1-D profile with one angle pinned, as ROW_DTYPE rows.
+
+    ``fixed`` is "alpha" or "phi"; the free angle runs over its full range on
+    an endpoint-inclusive grid.
+    """
+    return engine.evaluate_nodes(*_slice_nodes(fixed, value, points))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import EngineParams, evaluate_samples
+from .cycle import CycleEngine, EngineParams, evaluate_samples
 from .errors import ConfigurationError
-from .measurement import TWO_PI, basis_kets, measure
+from .measurement import TWO_PI, _basis, _measure
+from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
 from .propagator import (
     REFERENCE_STEPS,
     convergence_order,
@@ -26,12 +27,13 @@ from .qubit_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _density_checks,
+    _entropy,
     hermitian_expm,
     hermiticity_residual,
     gibbs_state,
     trace_2x2,
     unitarity_residual,
-    von_neumann_entropy,
 )
 from .sweep import GridSpec, _partner_indices, grid_sweep, symmetry_residual
 from .tolerances import DEFAULT_TOLERANCES as TOL
@@ -93,22 +95,29 @@ def suite_measurement_channel(
 
     The symmetrized update makes the output Hermitian to the last bit, so
     the Hermiticity check runs at tolerance zero; it is what the
-    fault-injection hook (skipping the re-Hermitization) trips.
+    fault-injection hook (skipping the re-Hermitization) trips.  A failed
+    check of the basis, the channel or the density matrices fails it too.
     """
     rho = _random_states(rng, samples)
-    basis = basis_kets(rng.uniform(0.0, math.pi, samples),
-                       rng.uniform(0.0, TWO_PI, samples))
-    post, (p1, p2) = measure(rho, basis, rehermitize=rehermitize)
-    post2, _ = measure(post, basis, rehermitize=rehermitize)
+    basis, basis_checks = _basis(rng.uniform(0.0, math.pi, samples),
+                                 rng.uniform(0.0, TWO_PI, samples))
+    post, (p1, p2), first = _measure(rho, basis, rehermitize)
+    post2, _, second = _measure(post, basis, rehermitize)
+    density, eigvals = _density_checks(np.array([rho, post]))
+    s_rho, s_post = _entropy(*eigvals)
     worst = float(max(
         np.abs(post2 - post).max(),
         np.abs(p1 + p2 - 1.0).max(),
         np.abs(trace_2x2(post).real - 1.0).max(),
-        (von_neumann_entropy(rho) - von_neumann_entropy(post)).clip(0.0).max(),
+        (s_rho - s_post).clip(0.0).max(),
     ))
     exact_asym = float(hermiticity_residual(post).max())
-    passed = worst <= TOL.kelvin and exact_asym == 0.0
-    detail = "symmetrized output must be exactly Hermitian"
+    failed = dict.fromkeys(name for checks in (basis_checks, first, density, second)
+                           for name, (value, bound) in checks.items()
+                           if not (value <= bound).all())
+    passed = worst <= TOL.kelvin and exact_asym == 0.0 and not failed
+    detail = (f"failed: {', '.join(failed)}" if failed
+              else "symmetrized output must be exactly Hermitian")
     return SuiteResult("measurement_channel", passed, max(worst, exact_asym),
                        TOL.kelvin, detail)
 
@@ -179,8 +188,7 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
 
 
 def suite_symmetry(params: EngineParams, alpha_points: int, phi_points: int) -> SuiteResult:
-    grid = GridSpec(base=params, alpha_points=alpha_points, phi_points=phi_points)
-    table = grid_sweep(grid)
+    table = grid_sweep(CycleEngine(params), GridSpec(alpha_points, phi_points))
     residual = symmetry_residual(table)
     return SuiteResult("symmetry", residual <= TOL.symmetry, residual, TOL.symmetry,
                        detail=f"{alpha_points}x{phi_points} grid")
@@ -195,7 +203,7 @@ def run_all_suites(
 ) -> list[SuiteResult]:
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    _partner_indices(GridSpec(params, *grid_points))  # an even phi count fails before any suite
+    _partner_indices(GridSpec(*grid_points))  # an even phi count fails before any suite
     rng = np.random.default_rng(seed)
     results = [
         suite_unitarity(rng, params.omega_tau, samples=min(samples, 2000)),

@@ -149,8 +149,7 @@ def default_engine() -> CycleEngine:
 @pytest.fixture(scope="session")
 def default_table(default_engine):
     """Full default-resolution sweep at the default parameters (shared)."""
-    grid = GridSpec(base=default_params())
-    return grid_sweep(grid, default_engine)
+    return grid_sweep(default_engine, GridSpec())
 
 
 @pytest.fixture()

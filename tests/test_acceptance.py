@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qmeter import (
+    CycleEngine,
     GridSpec,
     Objective,
     grid_sweep,
@@ -98,10 +99,10 @@ def random_samples():
     "(0.0097, pi) and (0.0097, 3pi/2); the quoted coordinates require "
     "conjugate-transposed propagators near omega_tau 9.75",
 )
-def test_criterion_1_peak_reproduction(default_table, default_engine):
-    w = locate_extrema(default_table, Objective.MAX_W_EXT, default_engine)
-    eta = locate_extrema(default_table, Objective.MAX_ETA, default_engine)
-    ds = locate_extrema(default_table, Objective.MIN_DS, default_engine)
+def test_criterion_1_peak_reproduction(default_table):
+    w = locate_extrema(default_table, Objective.MAX_W_EXT)
+    eta = locate_extrema(default_table, Objective.MAX_ETA)
+    ds = locate_extrema(default_table, Objective.MIN_DS)
     offs = (off_target(w, (1.39, 2.05)), off_target(eta, (1.45, 2.53)),
             off_target(ds, (1.46, 2.74)))
     passed = all(off <= 0.05 for off in offs)
@@ -119,10 +120,8 @@ def test_criterion_1_peak_reproduction(default_table, default_engine):
     "zeta/gamma profiles are concave over half the range",
 )
 def test_criterion_2_slice_reproduction(default_engine):
-    phi_slice = slice_profile(default_params(), "phi", 2.53, points=513,
-                              engine=default_engine)
-    alpha_slice = slice_profile(default_params(), "alpha", 1.45, points=513,
-                                engine=default_engine)
+    phi_slice = slice_profile(default_engine, "phi", 2.53, points=513)
+    alpha_slice = slice_profile(default_engine, "alpha", 1.45, points=513)
     alpha_peak = phi_slice["alpha"][np.argmax(phi_slice["w_ext"])]
     phi_peak = alpha_slice["phi"][np.argmax(alpha_slice["w_ext"])]
     convex = all(
@@ -219,9 +218,9 @@ def test_criterion_9_propagator_quality():
 
 
 def test_criterion_10_determinism():
-    grid = GridSpec(base=default_params(steps=1024), alpha_points=65, phi_points=65)
-    a = grid_sweep(grid)
-    b = grid_sweep(grid)
+    grid = GridSpec(alpha_points=65, phi_points=65)
+    a = grid_sweep(CycleEngine(default_params(steps=1024)), grid)
+    b = grid_sweep(CycleEngine(default_params(steps=1024)), grid)
     passed = a.rows.tobytes() == b.rows.tobytes()
     report("10 (determinism)", passed,
            f"bitwise identical over {a.rows.shape[0]} rows: {passed}")

@@ -25,7 +25,8 @@ from qmeter.errors import require_within
 
 from conftest import default_params
 
-GRID = GridSpec(base=default_params(steps=256), alpha_points=5, phi_points=5)
+PARAMS = default_params(steps=256)
+GRID = GridSpec(alpha_points=5, phi_points=5)
 NODE = 7  # alpha = pi/4, phi = pi: fuelled, eta defined, p1 - p2 = 0.33
 
 
@@ -180,10 +181,10 @@ def run_cli(argv, capsys):
 @pytest.mark.parametrize("check", FAULTS)
 def test_a_fault_at_one_node_flags_it_and_the_sweep_completes(check, monkeypatch):
     FAULTS[check](monkeypatch, NODE)
-    table = grid_sweep(GRID)
+    table = grid_sweep(qmeter.cycle.CycleEngine(PARAMS), GRID)
     assert table.rows.shape == (25,)
     assert np.flatnonzero(~table.rows["ok"]).tolist() == [NODE]
-    engine = qmeter.cycle.CycleEngine(GRID.base)
+    engine = qmeter.cycle.CycleEngine(PARAMS)
     monkeypatch.undo()
     FAULTS[check](monkeypatch, ...)
     row = table.rows[NODE]
@@ -216,7 +217,7 @@ def test_a_fault_at_one_node_is_a_row_flag_in_sweep_and_exit_2_in_run(
 def test_residuals_are_a_view_of_the_check_table(capsys):
     names = {"first_law", "w", "q_m", "q_t", "eta", "entropy_12", "entropy_34",
              "entropy_thermalization"}
-    record = qmeter.cycle.CycleEngine(GRID.base).evaluate(1.39, 2.05)
+    record = qmeter.cycle.CycleEngine(PARAMS).evaluate(1.39, 2.05)
     batch = evaluate_samples([0.3, 2.0, 7.0], [0.0, 1.0, 5.0], [0.0, 1.0, 2.5], [0.1, 3.0, 6.0])
     tolerances = set(dataclasses.asdict(TOL).values())
     for table in (record, batch):
@@ -252,7 +253,7 @@ def test_a_nan_residual_flags_its_node(monkeypatch):
         return real(targets, v, dataclasses.replace(basis, kets=kets))
 
     monkeypatch.setattr(qmeter.cycle, "_overlap_probabilities", nan_chi1)
-    engine = qmeter.cycle.CycleEngine(GRID.base)
+    engine = qmeter.cycle.CycleEngine(PARAMS)
     rows = engine.evaluate_nodes([0.5, 1.0, 1.5, 2.0], 1.0)
     assert rows["ok"].tolist() == [True, True, False, True]
     record = engine._evaluate_block(np.array([0.5, 1.0, 1.5]), np.ones(3), rows[:3].copy())
@@ -281,5 +282,5 @@ def test_the_engine_checks_rho2_once_and_the_sweep_checks_nothing_again(monkeypa
     calls = counting_density_checks(monkeypatch)
     engine = qmeter.cycle.CycleEngine(default_params())
     assert len(calls) == 1
-    grid_sweep(GridSpec(base=default_params()), engine)
+    grid_sweep(engine, GridSpec())
     assert len(calls) == 1

@@ -591,6 +591,22 @@ def test_even_phi_grid_fails_before_any_work(tmp_path, capsys, monkeypatch, comm
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--fixed-phi", "9"], "fixed phi outside [0, 2*pi]"),
+    (["--fixed-alpha", "4"], "fixed alpha outside [0, pi]"),
+    (["--fixed-phi", "1", "--points", "0"], "points must be >= 1"),
+])
+def test_a_bad_slice_fails_before_the_engine_build(tmp_path, capsys, monkeypatch, args, message):
+    import qmeter.cycle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built an engine before the slice check")
+
+    monkeypatch.setattr(qmeter.cycle.CycleEngine, "__init__", no_work)
+    rc, _, err = run_cli(["slice", *args, "--output", str(tmp_path / "slice.csv")], capsys)
+    assert rc == 1 and err == f"error: {message}\n"
+
+
 def test_a_repeated_objective_is_refined_once(tmp_path, capsys, monkeypatch):
     import qmeter.cli
 

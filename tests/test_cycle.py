@@ -118,7 +118,7 @@ def test_the_engine_does_not_recheck_the_packages_own_propagators(monkeypatch):
     monkeypatch.setattr(qmeter.cycle, "require_unitary",
                         lambda u, name: names.append(name) or real(u, name))
     run_cycle(default_params(), 1.39, 2.05)
-    grid_sweep(GridSpec(base=default_params(steps=256), alpha_points=5, phi_points=5))
+    grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(alpha_points=5, phi_points=5))
     evaluate_samples([0.5, 2.0], [1.0, 0.3], [1.0, 2.0], [0.5, 4.0])
     assert names == []
     CycleEngine(default_params(), propagators=(IDENTITY, IDENTITY))

@@ -40,21 +40,21 @@ def paired_dist(found, target):
 
 def test_grid_spec_validation():
     with pytest.raises(ConfigurationError):
-        GridSpec(base=default_params(), alpha_points=2, phi_points=9)
+        GridSpec(alpha_points=2, phi_points=9)
 
 
 def test_infinite_temperature_sweep_is_flat():
     params = EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=0.0, steps=256)
-    table = grid_sweep(GridSpec(base=params, alpha_points=3, phi_points=3))
+    table = grid_sweep(CycleEngine(params), GridSpec(alpha_points=3, phi_points=3))
     assert table.flagged == 0
     assert np.abs(table.rows["w_ext"]).max() <= 1e-12
 
 
 def test_sweeps_are_bitwise_deterministic():
     params = default_params(steps=256)
-    grid = GridSpec(base=params, alpha_points=33, phi_points=33)
-    a = grid_sweep(grid)
-    b = grid_sweep(grid)
+    grid = GridSpec(alpha_points=33, phi_points=33)
+    a = grid_sweep(CycleEngine(params), grid)
+    b = grid_sweep(CycleEngine(params), grid)
     assert a.rows.tobytes() == b.rows.tobytes()
 
 
@@ -66,24 +66,24 @@ def test_node_nearest_commuting_point_has_no_fuel(default_table):
     assert math.isnan(rows["eta"][i])
 
 
-def test_refined_extremum_dominates_grid(default_table, default_engine):
-    ext = locate_extrema(default_table, Objective.MAX_W_EXT, default_engine)
+def test_refined_extremum_dominates_grid(default_table):
+    ext = locate_extrema(default_table, Objective.MAX_W_EXT)
     assert ext.refinement_rounds == 3
     assert ext.value >= np.nanmax(default_table.rows["w_ext"]) - 1e-12
 
 
-def test_default_extrema_regression(default_table, default_engine):
+def test_default_extrema_regression(default_table):
     # implementation-derived optima at the default parameters, frozen against
     # the closed-form propagator plus Bloch-path oracle
-    w = locate_extrema(default_table, Objective.MAX_W_EXT, default_engine)
+    w = locate_extrema(default_table, Objective.MAX_W_EXT)
     assert w.value == pytest.approx(0.047832863, abs=1e-7)
     assert paired_dist((w.alpha_star, w.phi_star), (0.392699, 3.145612)) < 2e-3
 
-    eta = locate_extrema(default_table, Objective.MAX_ETA, default_engine)
+    eta = locate_extrema(default_table, Objective.MAX_ETA)
     assert eta.value == pytest.approx(0.980655, abs=1e-4)
     assert paired_dist((eta.alpha_star, eta.phi_star), (0.009672, math.pi)) < 0.02
 
-    ds = locate_extrema(default_table, Objective.MIN_DS, default_engine)
+    ds = locate_extrema(default_table, Objective.MIN_DS)
     assert ds.value <= 1e-9
     assert paired_dist((ds.alpha_star, ds.phi_star), (0.009672, 4.714461)) < 0.02
 
@@ -95,12 +95,12 @@ def test_default_extrema_regression(default_table, default_engine):
     "emerge only with conjugate-transposed propagators near omega_tau 9.75 "
     "(see test_optima_under_adjoint_propagators)",
 )
-def test_reference_peak_coordinates_at_default_parameters(default_table, default_engine):
-    w = locate_extrema(default_table, Objective.MAX_W_EXT, default_engine)
+def test_reference_peak_coordinates_at_default_parameters(default_table):
+    w = locate_extrema(default_table, Objective.MAX_W_EXT)
     assert node_dist((w.alpha_star, w.phi_star), (1.39, 2.05)) <= 0.05
-    eta = locate_extrema(default_table, Objective.MAX_ETA, default_engine)
+    eta = locate_extrema(default_table, Objective.MAX_ETA)
     assert node_dist((eta.alpha_star, eta.phi_star), (1.45, 2.53)) <= 0.05
-    ds = locate_extrema(default_table, Objective.MIN_DS, default_engine)
+    ds = locate_extrema(default_table, Objective.MIN_DS)
     assert node_dist((ds.alpha_star, ds.phi_star), (1.46, 2.74)) <= 0.05
 
 
@@ -114,19 +114,34 @@ def test_optima_under_adjoint_propagators():
     ud = u.conj().T
     params = EngineParams(omega_tau=omega_tau, beta_hbar_omega=1.0, steps=4096)
     engine = CycleEngine(params, propagators=(ud, ud))
-    table = grid_sweep(GridSpec(base=params, alpha_points=129, phi_points=129), engine)
+    table = grid_sweep(engine, GridSpec(alpha_points=129, phi_points=129))
 
-    w = locate_extrema(table, Objective.MAX_W_EXT, engine)
+    w = locate_extrema(table, Objective.MAX_W_EXT)
     assert paired_dist((w.alpha_star, w.phi_star), (1.39, 2.05)) <= 0.05
     assert w.value == pytest.approx(0.023112, abs=1e-4)
 
-    eta = locate_extrema(table, Objective.MAX_ETA, engine)
+    eta = locate_extrema(table, Objective.MAX_ETA)
     assert paired_dist((eta.alpha_star, eta.phi_star), (1.45, 2.53)) <= 0.05
     assert eta.value == pytest.approx(0.377870, abs=1e-3)
 
-    ds = locate_extrema(table, Objective.MIN_DS, engine)
+    ds = locate_extrema(table, Objective.MIN_DS)
     assert paired_dist((ds.alpha_star, ds.phi_star), (1.46, 2.74)) <= 0.05
     assert ds.value <= 1e-6
+
+
+def test_a_table_keeps_its_engine_and_a_slice_is_one_of_its_columns():
+    # the hooked engine cannot be rebuilt from its parameters, so a table
+    # that holds it, and slices that match its columns bit for bit, show
+    # that the sweep layer evaluates with the engine it was handed
+    ud = time_ordered_propagator(9.75, 1024)[0].conj().T
+    engine = CycleEngine(EngineParams(omega_tau=9.75, beta_hbar_omega=1.0), propagators=(ud, ud))
+    grid = GridSpec(alpha_points=33, phi_points=33)
+    table = grid_sweep(engine, grid)
+    assert table.engine is engine
+    columns = table.rows.reshape(grid.alpha_points, grid.phi_points)
+    for j in (0, 7, 16, 32):
+        profile = slice_profile(engine, "phi", grid.phis()[j], points=grid.alpha_points)
+        assert profile.tobytes() == columns[:, j].tobytes(), j
 
 
 def test_bad_nodes_are_flagged_and_sweep_completes(monkeypatch):
@@ -143,8 +158,8 @@ def test_bad_nodes_are_flagged_and_sweep_completes(monkeypatch):
         return 0.05 * post + 0.95 * ground, probs, checks
 
     monkeypatch.setattr(cycle_mod, "_measure", bad_measure)
-    table = grid_sweep(GridSpec(base=default_params(steps=256),
-                                alpha_points=5, phi_points=5))
+    table = grid_sweep(CycleEngine(default_params(steps=256)),
+                       GridSpec(alpha_points=5, phi_points=5))
     assert table.flagged > 0
     assert table.rows.shape[0] == 25
     assert not table.rows["ok"].all()
@@ -152,7 +167,7 @@ def test_bad_nodes_are_flagged_and_sweep_completes(monkeypatch):
 
 def test_eta_maximizer_requires_defined_rows():
     params = EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=0.0, steps=256)
-    table = grid_sweep(GridSpec(base=params, alpha_points=5, phi_points=5))
+    table = grid_sweep(CycleEngine(params), GridSpec(alpha_points=5, phi_points=5))
     with pytest.raises(ConfigurationError):
         locate_extrema(table, Objective.MAX_ETA)
 
@@ -165,14 +180,14 @@ def test_symmetry_residual_is_parameter_independent(rng):
     for _ in range(5):
         params = EngineParams(omega_tau=rng.uniform(0.01, 10.0),
                               beta_hbar_omega=rng.uniform(0.1, 5.0), steps=256)
-        table = grid_sweep(GridSpec(base=params, alpha_points=33, phi_points=33))
+        table = grid_sweep(CycleEngine(params), GridSpec(alpha_points=33, phi_points=33))
         assert symmetry_residual(table) <= 1e-10
 
 
 def test_symmetry_rejects_asymmetric_grid():
     # 4 phi points over [0, 2*pi] leave phi + pi off-grid
     params = default_params(steps=256)
-    table = grid_sweep(GridSpec(base=params, alpha_points=5, phi_points=4))
+    table = grid_sweep(CycleEngine(params), GridSpec(alpha_points=5, phi_points=4))
     with pytest.raises(ConfigurationError):
         symmetry_residual(table)
 
@@ -180,7 +195,7 @@ def test_symmetry_rejects_asymmetric_grid():
 @pytest.mark.parametrize("alpha_points", [3, 4, 9, 10, 257, 258])
 @pytest.mark.parametrize("phi_points", [3, 5, 9, 129, 257, 401])
 def test_partner_indices_realise_the_symmetry_map(alpha_points, phi_points):
-    grid = GridSpec(base=default_params(), alpha_points=alpha_points, phi_points=phi_points)
+    grid = GridSpec(alpha_points=alpha_points, phi_points=phi_points)
     a_partner, p_partner = _partner_indices(grid)
     alphas, phis = grid.alphas(), grid.phis()
     assert np.abs(alphas[a_partner] - (math.pi - alphas)).max() <= 1e-9
@@ -189,7 +204,7 @@ def test_partner_indices_realise_the_symmetry_map(alpha_points, phi_points):
 
 @pytest.mark.parametrize("phi_points", [4, 6, 10, 256])
 def test_partner_indices_reject_even_phi_counts(phi_points):
-    grid = GridSpec(base=default_params(), alpha_points=9, phi_points=phi_points)
+    grid = GridSpec(alpha_points=9, phi_points=phi_points)
     with pytest.raises(ConfigurationError, match="phi grid not symmetric"):
         _partner_indices(grid)
 
@@ -204,8 +219,7 @@ def test_eta_peak_sits_in_low_entropy_region(default_table, default_engine):
 
 
 def test_slice_profile_against_fixed_phi(default_engine):
-    profile = slice_profile(default_params(), "phi", 2.53, points=129,
-                            engine=default_engine)
+    profile = slice_profile(default_engine, "phi", 2.53, points=129)
     assert len(profile) == 129
     assert np.all(profile["phi"] == 2.53)
     oracle = [bloch_cycle(default_engine.u, default_engine.v, a, 2.53, 1.0)
@@ -227,8 +241,7 @@ def test_slice_profile_against_fixed_phi(default_engine):
     "concave on the first half of the range",
 )
 def test_slice_reference_behavior_at_default_parameters(default_engine):
-    profile = slice_profile(default_params(), "phi", 2.53, points=513,
-                            engine=default_engine)
+    profile = slice_profile(default_engine, "phi", 2.53, points=513)
     peak = profile["alpha"][np.argmax(profile["w_ext"])]
     assert abs(peak - 1.25) <= 0.05
     for column in ("zeta", "gamma"):
@@ -237,8 +250,7 @@ def test_slice_reference_behavior_at_default_parameters(default_engine):
 
 
 def test_slice_profile_against_fixed_alpha(default_engine):
-    profile = slice_profile(default_params(), "alpha", 1.45, points=129,
-                            engine=default_engine)
+    profile = slice_profile(default_engine, "alpha", 1.45, points=129)
     assert np.all(profile["alpha"] == 1.45)
     oracle_w = [-bloch_cycle(default_engine.u, default_engine.v, 1.45, p, 1.0)["w"]
                 for p in profile["phi"]]
@@ -250,8 +262,8 @@ def test_slice_profile_against_fixed_alpha(default_engine):
     assert peak == pytest.approx(3.240, abs=0.03)
 
 
-def test_slice_validation():
+def test_slice_validation(default_engine):
     with pytest.raises(ConfigurationError):
-        slice_profile(default_params(), "theta", 1.0)
+        slice_profile(default_engine, "theta", 1.0)
     with pytest.raises(ConfigurationError):
-        slice_profile(default_params(), "alpha", 4.0)
+        slice_profile(default_engine, "alpha", 4.0)

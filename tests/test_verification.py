@@ -198,6 +198,37 @@ def test_stacked_channel_suite_matches_the_per_sample_loop(rehermitize):
     assert result.passed == passed == rehermitize
 
 
+def broken_channel(fault):
+    """``_measure`` with a fault its own checks see: ``"trace"`` scales the
+    output by 1 + 1e-9, ``"channel_leak"`` dephases along projectors tilted
+    off the basis kets, which leaves a coherence between them."""
+    real = measurement._measure
+
+    def scaled(rho, basis, rehermitize=True):
+        post, probs, checks = real(rho, basis, rehermitize)
+        return post * (1.0 + 1e-9), probs, checks
+
+    def tilted(rho, basis, rehermitize=True):
+        projectors = measurement._basis(basis.alpha * (1.0 - 1e-6), basis.phi)[0].projectors
+        return real(rho, dataclasses.replace(basis, projectors=projectors), rehermitize)
+
+    return {"trace": scaled, "channel_leak": tilted}[fault]
+
+
+@pytest.mark.parametrize("fault, failed", [("trace", "trace, probability_sum"),
+                                           ("channel_leak", "channel_leak")])
+def test_a_broken_channel_fails_its_suite_and_verify_exits_2(monkeypatch, capsys, fault, failed):
+    # a violated channel invariant is a failed suite, not a configuration error
+    monkeypatch.setattr(qmeter.verification, "_measure", broken_channel(fault))
+    rc = main(["verify", "--samples", "50", "--grid-alpha-points", "9",
+               "--grid-phi-points", "9"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    (line,) = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert line.startswith("[FAIL] measurement_channel: ")
+    assert line.endswith(f" - failed: {failed}")
+
+
 @pytest.mark.parametrize("omega_tau", [DEFAULT_OMEGA_TAU, 1.0, 9.75, 152.0])
 def test_propagator_error_is_the_true_integration_error(omega_tau):
     true_error = max(
