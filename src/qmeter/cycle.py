@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, ValidationError, require_within
+from .errors import InvariantViolation, ValidationError, failed_checks, require_within
 from .measurement import MeasurementBasis, _basis, _measure
 from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
 from .propagator import MAX_STEPS, exact_drive_propagators, time_ordered_propagator
@@ -358,12 +358,10 @@ class CycleEngine:
         """Like evaluate, but returns (record, violations) instead of raising.
 
         A batch of one through the same kernel as ``evaluate_nodes``, with
-        no node axis, so the per-node arithmetic runs on numpy scalars.
+        no node axis (numpy scalars); the checks are read only if it is flagged.
         """
         record = self._evaluate_block(alpha, phi, np.empty(1, dtype=ROW_DTYPE))
-        violations = {name: float(value) for name, (value, bound) in record.checks.items()
-                      if not value <= bound}
-        return record, violations
+        return record, {} if record.row["ok"][0] else failed_checks(record.checks)
 
     def evaluate_nodes(self, alphas, phis) -> np.ndarray:
         """Evaluate the nodes (alphas[k], phis[k]); one ROW_DTYPE row each.

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the helper raising on a failed check."""
+"""Exception types shared across the package, and the reader of a check table."""
 
 from __future__ import annotations
 
@@ -26,11 +26,15 @@ class InvariantViolation(RuntimeError):
         self.max_residual = max(residuals.values()) if residuals else float("nan")
 
 
+def failed_checks(checks: dict) -> dict[str, float]:
+    """The worst residual of each ``name: (residual, bound)`` of ``checks``
+    that is not ``<= bound``, so NaN fails, in table order."""
+    worst = {name: float(np.max(residual)) for name, (residual, _) in checks.items()}
+    return {name: value for name, value in worst.items() if not value <= checks[name][1]}
+
+
 def require_within(checks: dict, subject: str, error: type = ValidationError) -> None:
-    """Raise ``error`` on the first ``name: (residual, bound)`` of ``checks``
-    whose largest residual is not ``<= bound``, so NaN fails."""
-    for name, (residual, bound) in checks.items():
-        worst = float(np.max(residual))
-        if not worst <= bound:
-            message = f"{subject}: {name} residual {worst:.3e} > {bound:.1e}"
-            raise error(message, {name: worst}) if error is InvariantViolation else error(message)
+    """Raise ``error`` on the first entry of ``checks`` that ``failed_checks`` returns."""
+    for name, worst in failed_checks(checks).items():
+        message = f"{subject}: {name} residual {worst:.3e} > {checks[name][1]:.1e}"
+        raise error(message, {name: worst}) if error is InvariantViolation else error(message)

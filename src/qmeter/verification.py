@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import CycleEngine, EngineParams, evaluate_samples
-from .errors import ConfigurationError
+from .errors import ConfigurationError, failed_checks
 from .measurement import TWO_PI, _basis, _measure
 from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
 from .propagator import (
@@ -96,7 +96,8 @@ def suite_measurement_channel(
     The symmetrized update makes the output Hermitian to the last bit, so
     the Hermiticity check runs at tolerance zero; it is what the
     fault-injection hook (skipping the re-Hermitization) trips.  A failed
-    check of the basis, the channel or the density matrices fails it too.
+    check of the basis, the density matrices or either channel pass fails
+    it instead, reporting the first failed check's residual and bound.
     """
     rho = _random_states(rng, samples)
     basis, basis_checks = _basis(rng.uniform(0.0, math.pi, samples),
@@ -104,6 +105,12 @@ def suite_measurement_channel(
     post, (p1, p2), first = _measure(rho, basis, rehermitize)
     post2, _, second = _measure(post, basis, rehermitize)
     density, eigvals = _density_checks(np.array([rho, post]))
+    checks = {**basis_checks, **density, **{name: (np.maximum(value, second[name][0]), bound)
+                                            for name, (value, bound) in first.items()}}
+    if failed := failed_checks(checks):
+        name = next(iter(failed))
+        return SuiteResult("measurement_channel", False, failed[name], checks[name][1],
+                           f"failed: {', '.join(failed)}")
     s_rho, s_post = _entropy(*eigvals)
     worst = float(max(
         np.abs(post2 - post).max(),
@@ -112,14 +119,9 @@ def suite_measurement_channel(
         (s_rho - s_post).clip(0.0).max(),
     ))
     exact_asym = float(hermiticity_residual(post).max())
-    failed = dict.fromkeys(name for checks in (basis_checks, first, density, second)
-                           for name, (value, bound) in checks.items()
-                           if not (value <= bound).all())
-    passed = worst <= TOL.kelvin and exact_asym == 0.0 and not failed
-    detail = (f"failed: {', '.join(failed)}" if failed
-              else "symmetrized output must be exactly Hermitian")
-    return SuiteResult("measurement_channel", passed, max(worst, exact_asym),
-                       TOL.kelvin, detail)
+    return SuiteResult("measurement_channel", worst <= TOL.kelvin and exact_asym == 0.0,
+                       max(worst, exact_asym), TOL.kelvin,
+                       "symmetrized output must be exactly Hermitian")
 
 
 def _worst(values: np.ndarray, start: float) -> float:
@@ -164,10 +166,9 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     batch = evaluate_samples(omega_tau, beta, alpha, phi)
     ok = batch.rows["ok"]
     rows = batch.rows[ok]
-    violation = np.maximum.reduce([np.where(value <= bound, -math.inf, value)  # NaN stays
-                                   for value, bound in batch.checks.values()])
-    first_law = float(np.max(np.where(ok, batch.checks["first_law"][0], violation), initial=0.0))
-    failed = [name for name, (value, bound) in batch.checks.items() if not (value <= bound).all()]
+    failed = failed_checks(batch.checks)  # a failed check's worst is one of its violations
+    first_law = float(np.max(np.append(batch.checks["first_law"][0][ok], [*failed.values()]),
+                             initial=0.0))
     n = len(ok)
     flagged = f"{n - len(rows)} of {n} samples flagged: {', '.join(failed)}" if failed else ""
     results = [SuiteResult("first_law", first_law <= TOL.first_law and not failed, first_law,

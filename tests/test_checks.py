@@ -21,7 +21,7 @@ from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import GridSpec, ValidationError, grid_sweep, measurement
 from qmeter.cli import main
 from qmeter.cycle import evaluate_samples
-from qmeter.errors import require_within
+from qmeter.errors import failed_checks, require_within
 
 from conftest import default_params
 
@@ -236,7 +236,15 @@ def test_residuals_are_a_view_of_the_check_table(capsys):
 
 
 def test_require_within_raises_on_the_first_failed_entry_and_on_nan():
-    require_within({"a": (np.array([0.0, 1.0]), 1.0)}, "x")
+    holds = {"a": (np.array([0.0, 1.0]), 1.0), "b": (np.float64(0.5), 1.0)}
+    assert failed_checks(holds) == {}
+    require_within(holds, "x")
+    failed = failed_checks({"c": (2.0, 1.0), "a": (0.5, 1.0),
+                            "b": (np.array([0.0, math.nan]), 1e-12),
+                            "d": (np.array([3.0, 0.5, 4.0]), 1.0), "e": (np.array([1.0]), 1.0)})
+    assert list(failed) == ["c", "b", "d"]  # table order, each with its worst residual
+    assert failed["c"] == 2.0 and math.isnan(failed["b"]) and failed["d"] == 4.0
+    assert all(type(value) is float for value in failed.values())
     with pytest.raises(ValidationError, match=r"^x: b residual nan > 1\.0e-12$"):
         require_within({"a": (0.5, 1.0), "b": (np.array([0.0, math.nan]), 1e-12),
                         "c": (2.0, 1.0)}, "x")

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import (
     ConfigurationError,
     CycleEngine,
@@ -182,6 +184,22 @@ def test_symmetry_residual_is_parameter_independent(rng):
                               beta_hbar_omega=rng.uniform(0.1, 5.0), steps=256)
         table = grid_sweep(CycleEngine(params), GridSpec(alpha_points=33, phi_points=33))
         assert symmetry_residual(table) <= 1e-10
+
+
+def test_a_fuel_moved_at_one_node_breaks_the_symmetry():
+    # q_m moved by 1e-6 at one node and not at its partner, where eta is
+    # defined on both sides: w_ext is unmoved, so only the eta pairs see it
+    table = grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(33, 33))
+    assert symmetry_residual(table) <= TOL.symmetry
+    a_partner, p_partner = _partner_indices(table.grid)
+    w, eta = (table.rows[name].reshape(33, 33) for name in ("w_ext", "eta"))
+    i, j = np.indices(w.shape)
+    paired = (~np.isnan(eta) & ~np.isnan(eta[a_partner][:, p_partner])
+              & ((i != a_partner[i]) | (j != p_partner[j])))
+    node = np.argmax(np.where(paired, np.abs(w[a_partner][:, p_partner]), -1.0))
+    rows = table.rows.copy()
+    rows["q_m"][node] += 1e-6
+    assert symmetry_residual(dataclasses.replace(table, rows=rows)) > TOL.symmetry
 
 
 def test_symmetry_rejects_asymmetric_grid():

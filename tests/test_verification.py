@@ -3,6 +3,7 @@ propagator-error suite against the exact oracle."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ def test_a_flagged_sample_fails_verify_below_the_first_law_bound(monkeypatch):
     assert first_law.detail.endswith(" samples flagged: eta"), first_law.detail
 
 
+def test_an_efficiency_over_one_fails_the_efficiency_bounds(monkeypatch):
+    # one eligible sample's eta read as 1 + 1e-9; nothing else moves
+    real = qmeter.verification.evaluate_samples
+
+    def over_one(*args):
+        batch = real(*args)
+        rows = batch.rows
+        eligible = rows["ok"] & (rows["q_m"] > TOL.fuel) & (rows["w_ext"] > 0.0)
+        rows["eta"][np.flatnonzero(eligible)[0]] = 1.0 + 1e-9
+        return batch
+
+    monkeypatch.setattr(qmeter.verification, "evaluate_samples", over_one)
+    results = {r.name: r for r in cycle_identity_suites(np.random.default_rng(3), SAMPLES)}
+    bounds = results.pop("efficiency_bounds")
+    assert not bounds.passed
+    assert bounds.max_residual == (1.0 + 1e-9) - 1.0
+    assert all(r.passed for r in results.values())
+
+
 def test_stacked_unitarity_suite_matches_the_per_sample_loop(monkeypatch):
     # a perfect step ladder leaves the random exponentials as the worst case
     monkeypatch.setattr(qmeter.verification, "time_ordered_propagator",
@@ -227,6 +247,9 @@ def test_a_broken_channel_fails_its_suite_and_verify_exits_2(monkeypatch, capsys
     (line,) = [line for line in out.splitlines() if line.startswith("[FAIL]")]
     assert line.startswith("[FAIL] measurement_channel: ")
     assert line.endswith(f" - failed: {failed}")
+    # the line reports the first failed check, so its residual is over its tolerance
+    residual, tol = map(float, re.search(r"residual (\S+) \(tol (\S+)\)", line).groups())
+    assert residual > tol, line
 
 
 @pytest.mark.parametrize("omega_tau", [DEFAULT_OMEGA_TAU, 1.0, 9.75, 152.0])

@@ -1,0 +1,90 @@
+"""Print one sha256 per output of the CLI contract, to compare two trees.
+
+Usage::
+
+    python tools/contract_hashes.py [SRC]
+
+``SRC`` is the directory holding the ``qmeter`` package (default: this
+repository's ``src``), so the same script hashes another checkout, e.g. a
+parent commit unpacked elsewhere.  Every command runs in process through
+``qmeter.cli.main``, inside a temporary directory, at its defaults apart from
+the arguments shown in each label:
+
+* the default ``sweep``: ``sweep.csv``, ``summary.json`` and stdout;
+* ``slice --fixed-phi 2.53``: ``slice.csv`` and stdout;
+* ``run --alpha-rad 1.39 --phi-rad 2.05 --csv``: stdout and the CSV row;
+* ``verify --inject-fault skip-rehermitize``: stdout and exit code;
+* ``verify --seed N`` for N in 0..99 and 400..409: one hash over the stdout
+  and exit code of every seed, in that order.
+
+The hashes depend on the host's numpy and BLAS build, so compare two trees
+on the same host.  Exit status is 1 if a command other than ``verify`` does
+not exit 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+VERIFY_SEEDS = [*range(100), *range(400, 410)]
+
+
+def sha256(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def main() -> int:
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    os.environ.pop("QMETER_SEED", None)  # every seed below is explicit or the default
+    import qmeter
+    from qmeter.cli import main as cli
+
+    print(f"hashing the qmeter package at {Path(qmeter.__file__).parent}", file=sys.stderr)
+
+    def run(*argv: str) -> tuple[int, str]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli(list(argv))
+        return code, out.getvalue()
+
+    hashes, failures = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv, files in ((["sweep"], ["sweep.csv", "summary.json"]),
+                                (["slice", "--fixed-phi", "2.53"], ["slice.csv"]),
+                                (["run", "--alpha-rad", "1.39", "--phi-rad", "2.05",
+                                  "--csv", "row.csv"], ["row.csv"])):
+                code, out = run(*argv)
+                if code != 0:
+                    failures.append(f"{' '.join(argv)} exited {code}")
+                label = " ".join(argv)
+                hashes.append((sha256(out), f"{label}: stdout"))
+                hashes += [(sha256(Path(name).read_bytes()), f"{label}: {name}")
+                           for name in files]
+            code, out = run("verify", "--inject-fault", "skip-rehermitize")
+            hashes.append((sha256(f"{out}exit {code}\n"),
+                           "verify --inject-fault skip-rehermitize: stdout, exit code"))
+            joined = "".join(f"{out}exit {code}\n"
+                             for code, out in (run("verify", "--seed", str(seed))
+                                               for seed in VERIFY_SEEDS))
+            hashes.append((sha256(joined), "verify --seed 0..99, 400..409: stdout, exit codes"))
+        finally:
+            os.chdir(cwd)
+    for digest, label in hashes:
+        print(f"{digest}  {label}")
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
