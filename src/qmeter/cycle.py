@@ -117,13 +117,25 @@ class AnalyticEnergetics:
     dp: tuple = field(repr=False)  # occupation_deltas, the forms' inputs
 
 
-# The entries of ``checks`` that ``residuals`` shows, without their bounds.
-RESIDUALS = ("first_law", "w", "q_m", "q_t", "eta", "entropy_12", "entropy_34",
-             "entropy_thermalization")
+# The registry of the kernel's checks, in table order.  Each name maps to the
+# ``Tolerances`` field of its bound (None where the check's core returns the bound),
+# the ``verify`` suite that reports it, if any, and whether ``residuals`` shows it.
+CHECKS = {
+    "first_law": ("first_law", None, True),
+    **dict.fromkeys(("w", "q_m", "q_t"), ("analytic", "analytic_vs_oracle", True)),
+    "eta": ("eta_forms", "efficiency_forms", True),
+    "kelvin": ("kelvin", "kelvin", False),
+    "entropy_decrease": ("entropy_decrease", "entropy_equalities", False),
+    **dict.fromkeys(("entropy_12", "entropy_34", "entropy_thermalization"),
+                    ("entropy_equality", "entropy_equalities", True)),
+    **dict.fromkeys(("basis", "probability_sum", "channel_leak", "completeness", "eta_forms",
+                     "density_34_hermiticity", "density_34_trace", "density_34_eigenvalue_floor"),
+                    (None, None, False)),
+}
 
 
 def _residuals(table) -> dict:
-    return {name: table.checks[name][0] for name in RESIDUALS}
+    return {name: table.checks[name][0] for name, (_, _, shown) in CHECKS.items() if shown}
 
 
 @dataclass(frozen=True)
@@ -132,8 +144,8 @@ class CycleRecord:
 
     Scalars for a single node and one value per node for a block; the
     engine's own state (rho1, rho2, w1, s1, s2) keeps its sample axis, if
-    any.  ``checks`` maps every invariant the kernel tests to its values and
-    the bound they must not exceed; a node is ``ok`` if each is ``<= bound``.
+    any.  ``checks`` maps each check of ``CHECKS``, in order, to its values
+    and the bound they must not exceed; a node is ``ok`` if each is ``<= bound``.
     """
 
     params: EngineParams | None  # the engine's; None for a sample engine
@@ -412,23 +424,25 @@ class CycleEngine:
         # path's fuel; NaN where either eta is undefined, which fmax makes 0
         eta_res = np.abs(eta - analytic.eta) / efficiency_scale(
             *analytic.dp, eta, analytic.eta, _ratio(1.0, q_m, fueled))
-        checks = {
-            "first_law": (np.abs(w1 + w2 + q_m + q_t), TOL.first_law),
+        values = {
+            "first_law": np.abs(w1 + w2 + q_m + q_t),
             # the trace path against the closed forms
-            "w": (np.abs(w - analytic.w), TOL.analytic),
-            "q_m": (np.abs(q_m - analytic.q_m), TOL.analytic),
-            "q_t": (np.abs(q_t - analytic.q_t), TOL.analytic),
-            "eta": (np.fmax(eta_res, 0.0), TOL.eta_forms),
-            "kelvin": (q_t, TOL.kelvin),
-            "entropy_decrease": (-d_s, TOL.entropy_decrease),
-            "entropy_12": (abs(self.s1 - self.s2), TOL.entropy_equality),  # one per engine
-            "entropy_34": (np.abs(s3 - s4), TOL.entropy_equality),
-            "entropy_thermalization": (np.abs((self.s1 - s4) + d_s), TOL.entropy_equality),
+            "w": np.abs(w - analytic.w),
+            "q_m": np.abs(q_m - analytic.q_m),
+            "q_t": np.abs(q_t - analytic.q_t),
+            "eta": np.fmax(eta_res, 0.0),
+            "kelvin": q_t,
+            "entropy_decrease": -d_s,
+            "entropy_12": abs(self.s1 - self.s2),  # one per engine
+            "entropy_34": np.abs(s3 - s4),
+            "entropy_thermalization": np.abs((self.s1 - s4) + d_s),
+            # the cores' checks, with their bounds; density_34_* is the worse of rho3 and rho4
             **basis_checks, **channel_checks, **completeness, **eta_forms,
-            # the worse of rho3 and rho4 at each node
             **{f"density_34_{name}": (np.maximum(*value), bound)
                for name, (value, bound) in density.items()},
         }
+        checks = {name: values[name] if field is None else (values[name], getattr(TOL, field))
+                  for name, (field, _, _) in CHECKS.items()}
 
         out["alpha"], out["phi"], out["w_ext"], out["q_m"], out["q_t"] = alphas, phis, -w, q_m, q_t
         out["eta"], out["ds"], out["dp3"], out["dp4"] = eta, d_s, *analytic.dp[2:]

@@ -16,20 +16,21 @@ class ConfigurationError(ValueError):
 class InvariantViolation(RuntimeError):
     """A physical invariant failed beyond tolerance.
 
-    Carries the per-check residuals so callers can report diagnostics
-    instead of a bare failure.
+    Carries the per-check residuals and their maximum, NaN if any is NaN, so
+    callers can report diagnostics instead of a bare failure.
     """
 
     def __init__(self, message: str, residuals: dict[str, float]):
         super().__init__(message)
         self.residuals = dict(residuals)
-        self.max_residual = max(residuals.values()) if residuals else float("nan")
+        self.max_residual = float(np.max([*residuals.values()])) if residuals else float("nan")
 
 
 def failed_checks(checks: dict) -> dict[str, float]:
     """The worst residual of each ``name: (residual, bound)`` of ``checks``
-    that is not ``<= bound``, so NaN fails, in table order."""
-    worst = {name: float(np.max(residual)) for name, (residual, _) in checks.items()}
+    that is not ``<= bound``, so NaN fails, in table order; a 0-d one is its own worst."""
+    worst = {name: float(residual if getattr(residual, "ndim", 0) == 0 else np.max(residual))
+             for name, (residual, _) in checks.items()}
     return {name: value for name, value in worst.items() if not value <= checks[name][1]}
 
 

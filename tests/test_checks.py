@@ -4,14 +4,16 @@ sweep marks that node and no other, the sweep still writes every row, and
 nothing the engine has checked.
 
 Each fault is injected through a name the kernel reaches, and is sized to
-trip its own check.  Two of them also trip ``eta``, the agreement of the two
-paths' efficiencies, because they move one path's efficiency and not the
-other's (``ALSO_TRIPS``); every other fault trips its check only."""
+trip its own check.  A fault that cannot move its check without moving
+another lists the other in ``ALSO_TRIPS``, with the reason; every other
+fault trips its check only.  Every check of the registry ``CHECKS`` has a
+fault, or is in ``UNTRIPPABLE`` with the reason no fault trips it at one node."""
 
 import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import qmeter.cycle
 from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import GridSpec, ValidationError, grid_sweep, measurement
 from qmeter.cli import main
-from qmeter.cycle import evaluate_samples
+from qmeter.cycle import CHECKS, evaluate_samples
 from qmeter.errors import failed_checks, require_within
 
 from conftest import default_params
@@ -103,18 +105,41 @@ def shifted_dp4(monkeypatch, node):
     monkeypatch.setattr(qmeter.cycle, "occupation_deltas", deltas)
 
 
-def scaled_rho4(monkeypatch, node):
-    # rho4 = (v rho3) v^dag with a trace of 1 + 1e-11; the energies multiply
-    # by real Hamiltonians, the propagator is complex
-    real = qmeter.cycle.matmul_right
+def changed_rho4(change):
+    """A fault replacing rho4 = (v rho3) v^dag at the node by ``change(rho4)``;
+    the energies multiply by real Hamiltonians, the propagator is complex."""
 
-    def product(x, m):
-        out = real(x, m)
-        if m.imag.any():
-            out[node] *= 1.0 + 1e-11
-        return out
+    def fault(monkeypatch, node):
+        real = qmeter.cycle.matmul_right
 
-    monkeypatch.setattr(qmeter.cycle, "matmul_right", product)
+        def product(x, m):
+            out = real(x, m)
+            if m.imag.any():
+                out[node] = change(out[node])
+            return out
+
+        monkeypatch.setattr(qmeter.cycle, "matmul_right", product)
+
+    return fault
+
+
+def pure_to_the_entropies(*states):
+    """A fault giving the eigenvalues 0 and 1 of a pure state, at the node, to
+    the entropies of ``states`` (0 for rho3, 1 for rho4), the only readers of
+    those eigenvalues; the density checks still see the states as they are."""
+
+    def fault(monkeypatch, node):
+        real = qmeter.cycle._density_checks
+
+        def density_checks(rho):
+            checks, (lo, hi) = real(rho)
+            lo, hi = lo.copy(), hi.copy()
+            lo[list(states), node], hi[list(states), node] = 0.0, 1.0
+            return checks, (lo, hi)
+
+        monkeypatch.setattr(qmeter.cycle, "_density_checks", density_checks)
+
+    return fault
 
 
 def off_closed_form(name, delta):
@@ -154,17 +179,48 @@ FAULTS = {
     "channel_leak": rotated_projectors,
     "completeness": longer_chi1_overlaps,
     "eta_forms": shifted_dp4,
-    "density_34_trace": scaled_rho4,
+    # a trace of 1 + 1e-11
+    "density_34_trace": changed_rho4(lambda rho: rho * (1.0 + 1e-11)),
+    # 1e-11 in the lower corner only, which neither the energies nor the
+    # eigenvalues read
+    "density_34_hermiticity": changed_rho4(lambda rho: rho + [[0.0, 0.0], [1e-11, 0.0]]),
+    # plus sigma_x: still Hermitian with trace 1, and the energy against
+    # sigma_z is the same, but the Bloch vector is longer than 1
+    "density_34_eigenvalue_floor": changed_rho4(lambda rho: rho + [[0.0, 1.0], [1.0, 0.0]]),
+    # the second stroke ends in the ground state |down><down|
+    "kelvin": changed_rho4(lambda rho: np.diag([0.0, 1.0])),
     "w": off_closed_form("w", 1e-7),
     "q_m": off_closed_form("q_m", 1e-7),
     "q_t": off_closed_form("q_t", 1e-7),
     "eta": off_closed_form("eta", 1e-9),
+    # s3 and s4 both read 0: ds = -s2 < 0, and in the thermalization
+    # residual (s1 - s4) + (s3 - s2) the two cancel
+    "entropy_decrease": pure_to_the_entropies(0, 1),
+    "entropy_34": pure_to_the_entropies(1),
     "entropy_thermalization": lower_later_entropies,
 }
 
-# At NODE the leaked coherence moves the trace-path eta to 3.2 times the
-# bound of ``eta``, and the shifted dp4 the closed-form eta to 340 times.
-ALSO_TRIPS = {"channel_leak": ["eta"], "eta_forms": ["eta"]}
+ALSO_TRIPS = {
+    # at NODE the leaked coherence moves the trace-path eta to 3.2 times the
+    # bound of ``eta``, and the shifted dp4 the closed-form eta to 340 times
+    "channel_leak": ["eta"],
+    "eta_forms": ["eta"],
+    # q_t <= 0 holds exactly on both paths, so only a rho4 purer than the
+    # bath's state lifts the trace path's q_t over 0: that moves it 0.38
+    # from the closed forms, and s4 off s3
+    "kelvin": ["entropy_34", "entropy_thermalization", "eta", "q_t", "w"],
+    # the thermalization residual is (s1 - s2) + (s3 - s4), up to roundoff
+    "entropy_34": ["entropy_thermalization"],
+    # a negative eigenvalue clips to 0, and its partner to 1, so s4 reads 0
+    "density_34_eigenvalue_floor": ["entropy_34", "entropy_thermalization"],
+}
+
+# The checks that no fault trips at one node alone, and why.
+UNTRIPPABLE = {
+    "first_law": "w1 + w2 + q_m + q_t telescopes over the four energies, so a fault of "
+                 "any one of them cancels in it",
+    "entropy_12": "s1 and s2 are the engine's, so a fault of either reaches every node",
+}
 
 
 def tripped(check):
@@ -214,12 +270,43 @@ def test_a_fault_at_one_node_is_a_row_flag_in_sweep_and_exit_2_in_run(
         assert f"  {name}: " in err
 
 
+def test_every_check_has_a_fault_or_a_reason_it_has_none():
+    assert set(FAULTS).isdisjoint(UNTRIPPABLE)
+    assert sorted([*FAULTS, *UNTRIPPABLE]) == sorted(CHECKS)
+    assert {name for names in ALSO_TRIPS.values() for name in names} <= set(CHECKS)
+
+
+def test_the_kernel_fills_the_registry_in_its_order():
+    record, violations = qmeter.cycle.CycleEngine(PARAMS).evaluate_flagged(1.39, 2.05)
+    batch = evaluate_samples([0.3, 2.0, 7.0], [0.0, 1.0, 5.0], [0.0, 1.0, 2.5], [0.1, 3.0, 6.0])
+    assert violations == {}
+    tolerances = dataclasses.asdict(TOL)
+    for table in (record, batch):
+        assert tuple(table.checks) == tuple(CHECKS)
+        for name, (field, _, _) in CHECKS.items():
+            bound = table.checks[name][1]
+            if field is None:  # a sub-table check: its core gives the bound
+                assert bound in tolerances.values(), name
+            else:
+                assert bound == tolerances[field], name
+    subtables = {name for name, (field, _, _) in CHECKS.items() if field is None}
+    assert subtables == {"basis", "probability_sum", "channel_leak", "completeness", "eta_forms",
+                         "density_34_hermiticity", "density_34_trace",
+                         "density_34_eigenvalue_floor"}
+
+
+def test_the_readme_names_every_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [name for name in CHECKS if f"`{name}`" not in readme] == []
+
+
 def test_residuals_are_a_view_of_the_check_table(capsys):
     names = {"first_law", "w", "q_m", "q_t", "eta", "entropy_12", "entropy_34",
              "entropy_thermalization"}
     record = qmeter.cycle.CycleEngine(PARAMS).evaluate(1.39, 2.05)
     batch = evaluate_samples([0.3, 2.0, 7.0], [0.0, 1.0, 5.0], [0.0, 1.0, 2.5], [0.1, 3.0, 6.0])
     tolerances = set(dataclasses.asdict(TOL).values())
+    assert {name for name, (_, _, shown) in CHECKS.items() if shown} == names
     for table in (record, batch):
         assert set(table.residuals) == names and len(table.checks) == 18
         for name, value in table.residuals.items():

@@ -25,7 +25,13 @@ from qmeter.errors import InvariantViolation
 from qmeter.propagator import MAX_STEPS
 from qmeter.qubit_algebra import IDENTITY, SIGMA_X, SIGMA_Z
 
-from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, default_params
+from conftest import (
+    DEFAULT_OMEGA_TAU,
+    bloch_cycle,
+    closed_form_u,
+    closed_form_v,
+    default_params,
+)
 
 T0 = math.tanh(0.5)
 
@@ -361,6 +367,47 @@ def test_invariant_violation_carries_residuals(monkeypatch):
         engine.evaluate(1.0, 1.0)
     assert "entropy_decrease" in err.value.residuals
     assert err.value.max_residual > 0.0
+
+
+def test_max_residual_is_nan_whenever_a_residual_is_nan():
+    for residuals in ({"a": 1.0, "b": math.nan}, {"b": math.nan, "a": 1.0}):
+        assert math.isnan(InvariantViolation("m", residuals).max_residual)
+    assert InvariantViolation("m", {"a": 1.0, "b": 2.0}).max_residual == 2.0
+    assert math.isnan(InvariantViolation("m", {}).max_residual)
+
+
+def test_eta_is_defined_exactly_where_the_fuel_exceeds_its_threshold():
+    # nodes on the q_m = 0 curve and at set distances on either side of it,
+    # placed by bisecting the Bloch oracle's q_m along phi at fixed alpha;
+    # the nearest sit 5e-13 and 2e-12 on either side of TOL.fuel = 1e-12
+    u, v = closed_form_u(DEFAULT_OMEGA_TAU), closed_form_v(DEFAULT_OMEGA_TAU)
+
+    def q_m(alpha, phi):
+        return bloch_cycle(u, v, alpha, phi, 1.0)["q_m"]
+
+    nodes = []
+    for alpha in (0.7, 2.5):
+        phis = np.linspace(0.0, 2.0 * math.pi, 17)
+        q = [q_m(alpha, phi) for phi in phis]
+        for k in np.flatnonzero(np.diff(np.sign(q))):  # one crossing in [phis[k], phis[k+1]]
+            rising = q[k + 1] > q[k]
+            for target in (-1e-12, 0.0, 5e-13, 2e-12, 5e-12, 9e-12, 1e-10):
+                lo, hi = phis[k], phis[k + 1]
+                for _ in range(44):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if (q_m(alpha, mid) < target) == rising else (lo, mid)
+                nodes.append((alpha, lo))
+    oracle = np.array([q_m(alpha, phi) for alpha, phi in nodes])
+    fuel = DEFAULT_TOLERANCES.fuel
+    assert np.abs(oracle - fuel).min() > 1e-13  # no node is a tie at the threshold
+    assert (np.abs(oracle) < 1e-13).sum() == 4  # on the curve
+    assert ((oracle > 1e-13) & (oracle < fuel)).sum() == 4
+    assert ((oracle > fuel) & (oracle < 10.0 * fuel)).sum() == 12
+
+    engine = CycleEngine(default_params(), propagators=(u, v))
+    rows = engine.evaluate_nodes(*np.array(nodes).T)
+    assert np.abs(rows["q_m"] - oracle).max() <= 1e-15
+    assert (~np.isnan(rows["eta"])).tolist() == (oracle > fuel).tolist()
 
 
 def test_run_cycle_is_deterministic():

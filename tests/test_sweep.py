@@ -90,6 +90,23 @@ def test_default_extrema_regression(default_table):
     assert paired_dist((ds.alpha_star, ds.phi_star), (0.009672, 4.714461)) < 0.02
 
 
+@pytest.mark.parametrize("objective, value, alpha, phi", [
+    (Objective.MAX_W_EXT, 0.047832863847398266, 0.39269908169872414, 3.1456116832540535),
+    (Objective.MAX_ETA, 0.9806555708188274, 3.1319439144339927, 9.203884727313849e-05),
+    (Objective.MIN_DS, 6.4710459213301874e-12, 0.009679418771558396, 4.714475194256215),
+])
+def test_default_refined_extrema_are_pinned(default_table, objective, value, alpha, phi):
+    # the default sweep's summary.json on one host.  Other BLAS cores and
+    # SIMD levels moved these values by up to 1.4e-13 and the coordinates
+    # not at all; the largest host spread seen anywhere is 1.1e-9, in eta.
+    # A coordinate moves by whole last-round steps (1.5e-5 in alpha), and
+    # refining with a zoom of 5 instead of 10 moves max_eta by 3.3e-8
+    ext = locate_extrema(default_table, objective)
+    assert ext.value == pytest.approx(value, rel=0.0, abs=5e-9)
+    assert ext.alpha_star == pytest.approx(alpha, rel=0.0, abs=5e-9)
+    assert ext.phi_star == pytest.approx(phi, rel=0.0, abs=5e-9)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at the default drive duration the landscape peaks near "

@@ -114,7 +114,10 @@ def test_table_suites_report_their_checks_over_every_sample(monkeypatch, faulty)
     results = {r.name: r for r in cycle_identity_suites(np.random.default_rng(3), SAMPLES)}
     (batch,) = batches
     assert bool(batch.rows["ok"].all()) is not faulty
+    assert qmeter.verification.TABLE_SUITES == tuple(TABLE_SUITES)  # verify's line order
     for suite, (names, bound) in TABLE_SUITES.items():
+        reported = {name for name, (_, by, _) in qmeter.cycle.CHECKS.items() if by == suite}
+        assert reported == set(names), suite
         worst = max(value for name in names for value in batch.checks[name][0].tolist()
                     if not math.isnan(value))
         assert results[suite].max_residual == worst, suite

@@ -1,0 +1,107 @@
+"""Run the test suite against one-line mutants of the source, to find what it misses.
+
+Usage::
+
+    python tools/mutants.py [NAME ...]
+
+Each entry of ``MUTANTS`` is a ``(file, old text, new text)`` triple under a
+short name.  For each mutant (or only those named), the checkout is copied
+into a temporary directory without ``.git`` and caches, the old text, which
+must occur exactly once in the file, is replaced by the new, and
+``python -m pytest -x -q`` runs there with that copy's ``src`` on the path.
+One line per mutant says ``killed`` with the first test that failed, or
+``survived``.  A mutant whose old text is missing or repeated is reported as
+``stale`` and not run.  The checkout itself is never written.
+
+Uses only the standard library and is not part of the test suite.  A killed
+mutant stops at its first failure; a surviving one costs a full suite run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = {
+    # the symmetry residual without its eta cross-product half
+    "symmetry-cross-half": ("src/qmeter/sweep.py",
+                            "        residual = max(residual, float(cross[both].max()))\n", ""),
+    "zoom-5": ("src/qmeter/sweep.py", "ZOOM = 10.0", "ZOOM = 5.0"),
+    "fuel-threshold-x10": ("src/qmeter/cycle.py", "fueled = q_m > TOL.fuel",
+                           "fueled = q_m > 10 * TOL.fuel"),
+    # the efficiency bounds without their eta - 1 half
+    "efficiency-bounds-half": ("src/qmeter/verification.py", "np.fmax(-eta, eta - 1.0)", "-eta"),
+    "unitarity-ladder-no-reference": ("src/qmeter/verification.py",
+                                      "(2, 7, 64, 1024, REFERENCE_STEPS)", "(2, 7, 64, 1024)"),
+    "thermalization-residual-zero": ("src/qmeter/cycle.py",
+                                     '"entropy_thermalization": np.abs((self.s1 - s4) + d_s),',
+                                     '"entropy_thermalization": np.zeros_like(d_s),'),
+    "thermalization-entry-deleted": ("src/qmeter/cycle.py",
+                                     '            "entropy_thermalization": '
+                                     'np.abs((self.s1 - s4) + d_s),\n', ""),
+    "refine-rounds-2": ("src/qmeter/sweep.py", "REFINE_ROUNDS = 3", "REFINE_ROUNDS = 2"),
+    "no-newton-schulz": ("src/qmeter/propagator.py",
+                         "        factors = 0.5 * (3.0 * factors - factors @ gram)\n", ""),
+    "csv-16-digits": ("src/qmeter/cli.py", 'return "%.17g" % value', 'return "%.16g" % value'),
+    "csv-repeat-screen-skipped": ("src/qmeter/cli.py",
+                                  "    if 4 * len(set(sample)) > len(sample):", "    if True:"),
+    # a check renamed where the kernel computes it, and not in the registry
+    "kernel-check-renamed": ("src/qmeter/cycle.py", '"kelvin": q_t,', '"kelvin_statement": q_t,'),
+    # a check no longer reported by its verify suite
+    "registry-suite-dropped": ("src/qmeter/cycle.py",
+                               '("entropy_decrease", "entropy_equalities", False)',
+                               '("entropy_decrease", None, False)'),
+    # a verify suite of kernel checks no longer run
+    "table-suite-dropped": ("src/qmeter/verification.py",
+                            'TABLE_SUITES = ("kelvin", "entropy_equalities",',
+                            'TABLE_SUITES = ("entropy_equalities",'),
+}
+
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                 ".perfbench_out", ".benchmarks")
+
+
+def first_failure(output: str) -> str:
+    """The first ``FAILED``/``ERROR`` test of a pytest summary, else its last line."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    lines = output.strip().splitlines()
+    return lines[-1] if lines else "no output"
+
+
+def run_mutant(name: str, path: str, old: str, new: str) -> str:
+    source = (ROOT / path).read_text()
+    if source.count(old) != 1:
+        return f"{name}: stale ({source.count(old)} matches of its old text in {path})"
+    with tempfile.TemporaryDirectory(prefix="qmeter-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        (copy / path).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return f"{name}: survived ({first_failure(proc.stdout)})"
+    return f"{name}: killed by {first_failure(proc.stdout + proc.stderr)}"
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(MUTANTS)}",
+              file=sys.stderr)
+        return 2
+    for name in argv or MUTANTS:
+        print(run_mutant(name, *MUTANTS[name]), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
