@@ -1,8 +1,8 @@
 """Invariant suites behind the ``verify`` command.
 
-Each suite draws its own seeded samples, reports the worst residual it saw
-and whether that stayed inside tolerance.  The suites are the same physics
-checks the test suite runs, packaged for the command line.
+Each suite draws its own seeded samples and hands its checks, as a table of
+``name: (residual, bound)``, to one reader that makes its line.  The suites
+are the same physics checks the test suite runs, packaged for the command line.
 """
 
 from __future__ import annotations
@@ -48,6 +48,24 @@ class SuiteResult:
     detail: str = ""
 
 
+def _line(name: str, checks: dict, detail: str = "", failed_as: str = "failed") -> SuiteResult:
+    """The ``verify`` line of the check table ``checks``, ``name: (residual, bound)``.
+
+    A check that ``failed_checks`` returns fails the line, which reports the
+    first failed check's worst residual at that check's own bound; a table
+    of more than one check names its failed checks after ``failed_as``, in
+    place of ``detail``.  Otherwise the line passes with the worst residual
+    and the loosest bound.
+    """
+    if failed := failed_checks(checks):
+        first = next(iter(failed))
+        if len(checks) > 1:
+            detail = f"{failed_as}: {', '.join(failed)}"
+        return SuiteResult(name, False, failed[first], checks[first][1], detail)
+    worst = max(float(np.max(residual)) for residual, _ in checks.values())
+    return SuiteResult(name, True, worst, max(bound for _, bound in checks.values()), detail)
+
+
 def _random_hermitians(rng: np.random.Generator, n: int) -> np.ndarray:
     a, x, y, z = rng.normal(size=(4, n, 1, 1))
     return a * IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
@@ -61,30 +79,26 @@ def _random_states(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) -> SuiteResult:
-    worst = unitarity_residual(hermitian_expm(_random_hermitians(rng, samples),
-                                              rng.uniform(-10.0, 10.0, samples)))
-    for n in (2, 7, 64, 1024, REFERENCE_STEPS):
-        worst = max(worst, unitarity_residual(time_ordered_propagator(omega_tau, n)))
-    return SuiteResult("unitarity", worst <= TOL.unitarity, worst, TOL.unitarity)
+    exps = hermitian_expm(_random_hermitians(rng, samples), rng.uniform(-10.0, 10.0, samples))
+    pairs = [time_ordered_propagator(omega_tau, n) for n in (2, 7, 64, 1024, REFERENCE_STEPS)]
+    residuals = np.array([unitarity_residual(u) for u in (exps, *pairs)])
+    return _line("unitarity", {"unitarity": (residuals, TOL.unitarity)})
 
 
 def suite_propagator_error(omega_tau: float, steps: int) -> SuiteResult:
     # conservative a-priori bound for the midpoint product on this drive
     bound = TOL.propagator_error / steps**2
     error = time_ordered_propagator(omega_tau, steps) - exact_drive_propagators([omega_tau])[0]
-    worst = float(np.abs(error).max())
-    return SuiteResult("propagator_error", worst <= bound, worst, bound,
-                       detail=f"steps={steps} vs the exact propagator")
+    return _line("propagator_error", {"propagator_error": (np.abs(error), bound)},
+                 detail=f"steps={steps} vs the exact propagator")
 
 
 def suite_convergence(omega_tau: float) -> SuiteResult:
     orders = convergence_order(omega_tau, [8, 16, 32, 64, 128, 256, 512])
-    if np.isnan(orders).any():
-        return SuiteResult("convergence_order", False, float("nan"), TOL.convergence_order,
-                           detail="order indeterminate (errors at floor)")
-    worst = float(np.abs(orders - 2.0).max())
-    return SuiteResult("convergence_order", worst <= TOL.convergence_order, worst,
-                       TOL.convergence_order, detail="|order - 2| on both segments")
+    detail = ("order indeterminate (errors at floor)" if np.isnan(orders).any()
+              else "|order - 2| on both segments")
+    return _line("convergence_order",
+                 {"convergence_order": (np.abs(orders - 2.0), TOL.convergence_order)}, detail)
 
 
 def suite_measurement_channel(
@@ -95,9 +109,9 @@ def suite_measurement_channel(
 
     The symmetrized update makes the output Hermitian to the last bit, so
     the Hermiticity check runs at tolerance zero; it is what the
-    fault-injection hook (skipping the re-Hermitization) trips.  A failed
-    check of the basis, the density matrices or either channel pass fails
-    it instead, reporting the first failed check's residual and bound.
+    fault-injection hook (skipping the re-Hermitization) trips.  The checks
+    of the basis, the density matrices and both channel passes come first:
+    a failed one fails the suite before the output's terms are read.
     """
     rho = _random_states(rng, samples)
     basis, basis_checks = _basis(rng.uniform(0.0, math.pi, samples),
@@ -107,36 +121,25 @@ def suite_measurement_channel(
     density, eigvals = _density_checks(np.array([rho, post]))
     checks = {**basis_checks, **density, **{name: (np.maximum(value, second[name][0]), bound)
                                             for name, (value, bound) in first.items()}}
-    if failed := failed_checks(checks):
-        name = next(iter(failed))
-        return SuiteResult("measurement_channel", False, failed[name], checks[name][1],
-                           f"failed: {', '.join(failed)}")
+    if failed_checks(checks):
+        return _line("measurement_channel", checks)
     s_rho, s_post = _entropy(*eigvals)
-    worst = float(max(
-        np.abs(post2 - post).max(),
-        np.abs(p1 + p2 - 1.0).max(),
-        np.abs(trace_2x2(post).real - 1.0).max(),
-        (s_rho - s_post).clip(0.0).max(),
-    ))
-    exact_asym = float(hermiticity_residual(post).max())
-    return SuiteResult("measurement_channel", worst <= TOL.kelvin and exact_asym == 0.0,
-                       max(worst, exact_asym), TOL.kelvin,
-                       "symmetrized output must be exactly Hermitian")
+    return _line("measurement_channel", {
+        "idempotence": (np.abs(post2 - post), TOL.kelvin),
+        "probabilities": (np.abs(p1 + p2 - 1.0), TOL.kelvin),
+        "output_trace": (np.abs(trace_2x2(post).real - 1.0), TOL.kelvin),
+        "entropy_decrease": (s_rho - s_post, TOL.kelvin),
+        "exact_hermiticity": (hermiticity_residual(post), 0.0),
+    }, "symmetrized output must be exactly Hermitian")
 
 
-def _worst(values: np.ndarray, start: float) -> float:
-    """Largest of ``values``, skipping NaN; ``start`` when there is none."""
-    return float(np.fmax.reduce(values, initial=start))
-
-
-def _sample_suite(name: str, worst: float, bound: float, eligible: int,
-                  samples: int) -> SuiteResult:
-    """Passes when ``worst`` is within ``bound`` and at least one of the
-    ``samples`` was eligible: a suite that checked nothing does not pass."""
-    if eligible == 0:
-        return SuiteResult(name, False, worst, bound,
+def _sample_suite(name: str, residuals: np.ndarray, bound: float, samples: int) -> SuiteResult:
+    """The line of ``residuals``, one per eligible sample of ``samples``: a
+    suite with no eligible sample fails, since it checked nothing."""
+    if len(residuals) == 0:
+        return SuiteResult(name, False, -math.inf, bound,
                            detail=f"no eligible sample (0 of {samples})")
-    return SuiteResult(name, worst <= bound, worst, bound)
+    return _line(name, {name: (residuals, bound)})
 
 
 # The order of the suites that report kernel checks; ``CHECKS`` names each one's checks.
@@ -148,10 +151,10 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     efficiency forms and bounds, and the 1/zeta + 1/gamma inequality, all on
     one shared random parameter sample, evaluated as one batch.
 
-    The ``TABLE_SUITES`` report their checks' worst over every sample, at their loosest bound.
-    A sample with violated cycle invariants fails the first-law suite, which
-    names the failed checks and reports the worst violation, and is left out
-    of the last two suites; either fails with no eligible sample left.  The
+    The ``TABLE_SUITES`` read their checks over every sample.  A sample with
+    violated cycle invariants fails the first-law suite, which then reads
+    the whole check table and names the failed checks, and is left out of
+    the last two suites; either fails with no eligible sample left.  The
     identities are exact for any unitary pair, so the samples run on the
     exact propagators; residuals do not depend on the integration error.
     """
@@ -160,34 +163,25 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     batch = evaluate_samples(omega_tau, beta, alpha, phi)
     ok = batch.rows["ok"]
     rows = batch.rows[ok]
-    failed = failed_checks(batch.checks)  # a failed check's worst is one of its violations
-    first_law = float(np.max(np.append(batch.checks["first_law"][0][ok], [*failed.values()]),
-                             initial=0.0))
     n = len(ok)
-    flagged = f"{n - len(rows)} of {n} samples flagged: {', '.join(failed)}" if failed else ""
-    results = [SuiteResult("first_law", first_law <= TOL.first_law and not failed, first_law,
-                           TOL.first_law, flagged)]
+    first_law = {"first_law": batch.checks["first_law"]} if ok.all() else batch.checks
+    results = [_line("first_law", first_law, failed_as=f"{n - len(rows)} of {n} samples flagged")]
     for suite in TABLE_SUITES:
-        names = [name for name, (_, reported_by, _) in CHECKS.items() if reported_by == suite]
-        worst = _worst(np.concatenate([batch.checks[name][0] for name in names]), -math.inf)
-        bound = max(batch.checks[name][1] for name in names)
-        results.append(SuiteResult(suite, worst <= bound, worst, bound))
+        results.append(_line(suite, {name: batch.checks[name]
+                                     for name, (_, by, _) in CHECKS.items() if by == suite}))
     eta = rows["eta"][(rows["q_m"] > TOL.fuel) & (rows["w_ext"] > 0.0)]
-    bounds = _worst(np.fmax(-eta, eta - 1.0), -math.inf)
     pr = rows[(rows["zeta"] > 1e-6) & (rows["gamma"] > 1e-6)]
-    inequality = _worst(2.0 - (1.0 / pr["zeta"] + 1.0 / pr["gamma"]), -math.inf)
     return results + [
-        _sample_suite("efficiency_bounds", bounds, TOL.probability, len(eta), n),
-        _sample_suite("transition_inequality", inequality, TOL.transition_inequality,
-                      len(pr), n),
+        _sample_suite("efficiency_bounds", np.fmax(-eta, eta - 1.0), TOL.probability, n),
+        _sample_suite("transition_inequality", 2.0 - (1.0 / pr["zeta"] + 1.0 / pr["gamma"]),
+                      TOL.transition_inequality, n),
     ]
 
 
 def suite_symmetry(params: EngineParams, alpha_points: int, phi_points: int) -> SuiteResult:
     table = grid_sweep(CycleEngine(params), GridSpec(alpha_points, phi_points))
-    residual = symmetry_residual(table)
-    return SuiteResult("symmetry", residual <= TOL.symmetry, residual, TOL.symmetry,
-                       detail=f"{alpha_points}x{phi_points} grid")
+    return _line("symmetry", {"symmetry": (symmetry_residual(table), TOL.symmetry)},
+                 detail=f"{alpha_points}x{phi_points} grid")
 
 
 def run_all_suites(

@@ -61,6 +61,15 @@ MUTANTS = {
     "table-suite-dropped": ("src/qmeter/verification.py",
                             'TABLE_SUITES = ("kelvin", "entropy_equalities",',
                             'TABLE_SUITES = ("entropy_equalities",'),
+    # a failed verify line printed at its table's loosest bound, not the failed check's
+    "fail-line-loosest-bound": ("src/qmeter/verification.py",
+                                "failed[first], checks[first][1], detail)",
+                                "failed[first], max(b for _, b in checks.values()), detail)"),
+    # the first-law line reading only its own check when samples are flagged
+    "first-law-ignores-flags": ("src/qmeter/verification.py",
+                                '{"first_law": batch.checks["first_law"]} if ok.all() else '
+                                'batch.checks',
+                                '{"first_law": batch.checks["first_law"]}'),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
