@@ -14,7 +14,6 @@ from .cycle import (
     TransitionProbs,
     analytic_energetics,
     occupation_deltas,
-    run_cycle,
     transition_probabilities,
 )
 from .errors import ConfigurationError, InvariantViolation, ValidationError
@@ -58,7 +57,6 @@ __all__ = [
     "locate_extrema",
     "measure",
     "occupation_deltas",
-    "run_cycle",
     "slice_profile",
     "symmetry_residual",
     "time_ordered_propagator",

@@ -25,7 +25,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams, run_cycle
+from .cycle import CycleEngine, EngineParams
 from .errors import ConfigurationError, InvariantViolation
 from .sweep import (
     GridSpec,
@@ -232,7 +232,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
     if config.alpha_rad is None or config.phi_rad is None:
         raise ConfigurationError("run requires alpha_rad and phi_rad")
-    record = run_cycle(config.engine_params(), config.alpha_rad, config.phi_rad)
+    record, violations = CycleEngine(config.engine_params()).evaluate_flagged(
+        config.alpha_rad, config.phi_rad)
+    if violations:
+        raise InvariantViolation(
+            "cycle invariants violated: " + ", ".join(sorted(violations)), violations)
     for key, value in _record_pairs(record):
         print(f"{key}={value}")
     if args.csv:

@@ -14,7 +14,7 @@ trace path.
 ``CycleEngine.evaluate_nodes`` evaluates both paths for a whole array of
 measurement angles at once, on (M, 2, 2) density-matrix stacks and (M,)
 probability arrays; a single node is a batch of one, and the kernel's
-``CycleRecord`` is what ``evaluate`` returns.  ``evaluate_samples``
+``CycleRecord`` is what ``evaluate_flagged`` returns.  ``evaluate_samples``
 runs the same kernel on engine state with a leading sample axis, one drive
 duration, temperature and node per sample.
 """
@@ -358,16 +358,9 @@ class CycleEngine:
         self.e1 = trace_2x2(matmul_right(self.rho1, self.h1)).real
         self.e2 = trace_2x2(matmul_right(self.rho2, self.h2)).real
 
-    def evaluate(self, alpha: float, phi: float) -> CycleRecord:
-        """Evaluate one node; raises InvariantViolation on any failed invariant."""
-        record, violations = self.evaluate_flagged(alpha, phi)
-        if violations:
-            raise InvariantViolation(
-                "cycle invariants violated: " + ", ".join(sorted(violations)), violations)
-        return record
-
     def evaluate_flagged(self, alpha: float, phi: float) -> tuple[CycleRecord, dict[str, float]]:
-        """Like evaluate, but returns (record, violations) instead of raising.
+        """Evaluate one node; returns (record, violations), the worst residual
+        of each failed check, empty when the node is ``ok``.
 
         A batch of one through the same kernel as ``evaluate_nodes``, with
         no node axis (numpy scalars); the checks are read only if it is flagged.
@@ -483,11 +476,3 @@ def evaluate_samples(omega_taus, betas, alphas, phis) -> SampleBatch:
               for name, (_, bound) in blocks[0].items()}
     return SampleBatch(rows=rows, checks=checks)
 
-
-def run_cycle(params: EngineParams, alpha: float, phi: float) -> CycleRecord:
-    """Execute one full cycle of the engine ``params`` at the node (alpha, phi).
-
-    Raises InvariantViolation (carrying the residuals) if any cycle invariant
-    fails; an undefined efficiency is a flag, not an error.
-    """
-    return CycleEngine(params).evaluate(alpha, phi)

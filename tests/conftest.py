@@ -141,6 +141,13 @@ def default_params(steps: int = 1024) -> EngineParams:
     return EngineParams(omega_tau=DEFAULT_OMEGA_TAU, beta_hbar_omega=1.0, steps=steps)
 
 
+def evaluate_ok(engine: CycleEngine, alpha: float, phi: float):
+    """The record of one node of ``engine``, which must pass every check."""
+    record, violations = engine.evaluate_flagged(alpha, phi)
+    assert violations == {}
+    return record
+
+
 @pytest.fixture(scope="session")
 def default_engine() -> CycleEngine:
     return CycleEngine(default_params())

@@ -27,7 +27,7 @@ from qmeter.cycle import evaluate_samples
 from qmeter.propagator import convergence_order, time_ordered_propagator
 from qmeter.qubit_algebra import unitarity_residual
 
-from conftest import DEFAULT_OMEGA_TAU, DEFAULT_SEED, default_params
+from conftest import DEFAULT_OMEGA_TAU, DEFAULT_SEED, default_params, evaluate_ok
 
 SAMPLES = 10_000
 
@@ -135,7 +135,7 @@ def test_criterion_2_slice_reproduction(default_engine):
 
 
 def test_criterion_3_commuting_basis_fuel_and_efficiency(default_engine):
-    record = default_engine.evaluate(math.pi / 2, 0.0)
+    record = evaluate_ok(default_engine, math.pi / 2, 0.0)
     passed = abs(record.q_m) <= 1e-12 and not record.eta_defined
     report("3a (commuting null: fuel, efficiency)", passed,
            f"|q_m| = {abs(record.q_m):.3e}, eta defined = {record.eta_defined}")
@@ -149,7 +149,7 @@ def test_criterion_3_commuting_basis_fuel_and_efficiency(default_engine):
     "the measurement provides no fuel",
 )
 def test_criterion_3_commuting_basis_extracted_work(default_engine):
-    record = default_engine.evaluate(math.pi / 2, 0.0)
+    record = evaluate_ok(default_engine, math.pi / 2, 0.0)
     passed = abs(record.w_ext) <= 1e-12
     report("3b (commuting null: extracted work)", passed,
            f"|w_ext| = {abs(record.w_ext):.3e}")

@@ -219,7 +219,8 @@ ALSO_TRIPS = {
 UNTRIPPABLE = {
     "first_law": "w1 + w2 + q_m + q_t telescopes over the four energies, so a fault of "
                  "any one of them cancels in it",
-    "entropy_12": "s1 and s2 are the engine's, so a fault of either reaches every node",
+    "entropy_12": "s1 and s2 are the engine's, so a fault of either reaches every node; "
+                  "test_an_engine_wide_entropy_fault_flags_every_node trips it there",
 }
 
 
@@ -270,6 +271,16 @@ def test_a_fault_at_one_node_is_a_row_flag_in_sweep_and_exit_2_in_run(
         assert f"  {name}: " in err
 
 
+def test_an_engine_wide_entropy_fault_flags_every_node():
+    # s2 moved by 1e-9 on one engine: entropy_12 and, through ds = s3 - s2,
+    # entropy_thermalization read ten times their bound at every node
+    engine = qmeter.cycle.CycleEngine(PARAMS)
+    engine.s2 = engine.s2 + 1e-9
+    _, violations = engine.evaluate_flagged(1.39, 2.05)
+    assert sorted(violations) == ["entropy_12", "entropy_thermalization"]
+    assert not grid_sweep(engine, GRID).rows["ok"].any()
+
+
 def test_every_check_has_a_fault_or_a_reason_it_has_none():
     assert set(FAULTS).isdisjoint(UNTRIPPABLE)
     assert sorted([*FAULTS, *UNTRIPPABLE]) == sorted(CHECKS)
@@ -303,8 +314,9 @@ def test_the_readme_names_every_check():
 def test_residuals_are_a_view_of_the_check_table(capsys):
     names = {"first_law", "w", "q_m", "q_t", "eta", "entropy_12", "entropy_34",
              "entropy_thermalization"}
-    record = qmeter.cycle.CycleEngine(PARAMS).evaluate(1.39, 2.05)
+    record, violations = qmeter.cycle.CycleEngine(PARAMS).evaluate_flagged(1.39, 2.05)
     batch = evaluate_samples([0.3, 2.0, 7.0], [0.0, 1.0, 5.0], [0.0, 1.0, 2.5], [0.1, 3.0, 6.0])
+    assert violations == {}
     tolerances = set(dataclasses.asdict(TOL).values())
     assert {name for name, (_, _, shown) in CHECKS.items() if shown} == names
     for table in (record, batch):

@@ -95,7 +95,7 @@ def test_bad_physical_inputs_fail_before_any_work(tmp_path, capsys, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the input checks")
 
-    for name in ("CycleEngine", "run_cycle", "grid_sweep", "slice_profile", "run_all_suites"):
+    for name in ("CycleEngine", "grid_sweep", "slice_profile", "run_all_suites"):
         monkeypatch.setattr(qmeter.cli, name, no_work)
     args = [arg.format(tmp=tmp_path) for arg in BAD_INPUT_COMMANDS[command]]
     rc, out, err = run_cli(args + BAD_INPUTS[bad], capsys)

@@ -65,6 +65,10 @@ def test_angle_validation():
         basis_kets(-0.1, 0.0)  # reduces to 2*pi - 0.1, outside [0, pi]
     with pytest.raises(ValidationError):
         basis_kets(float("nan"), 0.0)
+    # roundoff just past pi is pi; a relative excess of 1e-6 is out of range
+    assert basis_kets(math.pi * (1 + 1e-12), 0.0).alpha == math.pi
+    with pytest.raises(ValidationError):
+        basis_kets(math.pi * (1 + 1e-6), 0.0)
 
 
 def test_measure_fixed_point_when_diagonal(rng):

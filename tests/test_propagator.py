@@ -10,6 +10,7 @@ import qmeter.propagator
 from qmeter import ConfigurationError, Segment, ValidationError
 from qmeter import convergence_order, hermitian_expm, time_ordered_propagator
 from qmeter.propagator import (
+    ERROR_FLOOR,
     MAX_STEPS,
     STEP_CHUNK,
     _drive_step_factors,
@@ -19,7 +20,13 @@ from qmeter.propagator import (
 from qmeter.qubit_algebra import SIGMA_X, SIGMA_Z, unitarity_residual
 from qmeter.verification import suite_convergence
 
-from conftest import DEFAULT_OMEGA_TAU, closed_form_u, closed_form_v, driving_hamiltonian
+from conftest import (
+    DEFAULT_OMEGA_TAU,
+    DEFAULT_SEED,
+    closed_form_u,
+    closed_form_v,
+    driving_hamiltonian,
+)
 
 
 def constant_drive_product(h0, tau, steps):
@@ -131,6 +138,18 @@ def test_one_indeterminate_stroke_fails_the_convergence_suite(monkeypatch):
     assert result.detail == "order indeterminate (errors at floor)"
 
 
+def test_convergence_order_reads_only_the_rungs_over_the_floor():
+    # at omega_tau = 1e-6 the errors fall from 5e-10 to 1e-13 along the
+    # ladder, so five rungs clear ERROR_FLOOR; at 1e-9 none does
+    ladder = [8, 16, 32, 64, 128, 256, 512]
+    ref = exact_drive_propagators([1e-6])[0]
+    errors = np.array([np.abs(time_ordered_propagator(1e-6, n) - ref).max(axis=(1, 2))
+                       for n in ladder])
+    assert (errors > ERROR_FLOOR).sum(axis=0).tolist() == [5, 5]
+    assert convergence_order(1e-6, ladder) == pytest.approx([2.0, 2.0], abs=0.2)
+    assert np.isnan(convergence_order(1e-9, ladder)).all()
+
+
 def test_convergence_rejects_bad_ladders():
     with pytest.raises(ConfigurationError):
         convergence_order(DEFAULT_OMEGA_TAU, [8, 16])
@@ -240,3 +259,16 @@ def test_exact_propagators_match_the_rotating_frame_oracle(omega_tau):
     assert np.abs(pair[0, 0] - closed_form_u(omega_tau)).max() <= 1e-15
     assert np.abs(pair[0, 1] - closed_form_v(omega_tau)).max() <= 1e-15
     assert unitarity_residual(pair) <= 1e-15
+
+
+def test_exact_propagators_match_the_oracle_where_np_hypot_is_off_by_an_ulp():
+    # the drive angle hypot(tau, pi/2) is rounded correctly; np.hypot is an
+    # ulp off on about 0.2% of durations, which moves the phase by up to 3e-15;
+    # the first draws keep the test whole where np.hypot rounds correctly
+    taus = np.random.default_rng(DEFAULT_SEED).uniform(0.0, 50.0, 40000)
+    off = np.hypot(taus, 0.5 * math.pi) != [math.hypot(t, 0.5 * math.pi) for t in taus.tolist()]
+    taus = np.concatenate([taus[:20], taus[off], [1.4872050697646944]])
+    pairs = exact_drive_propagators(taus)
+    deviation = max(max(np.abs(u - closed_form_u(t)).max(), np.abs(v - closed_form_v(t)).max())
+                    for (u, v), t in zip(pairs, taus.tolist()))
+    assert deviation <= 1e-15

@@ -107,6 +107,26 @@ def test_default_refined_extrema_are_pinned(default_table, objective, value, alp
     assert ext.phi_star == pytest.approx(phi, rel=0.0, abs=5e-9)
 
 
+def test_a_refinement_across_phi_zero_reports_phi_in_range():
+    # the engine's phi axis turned so the extracted-work peak (pinned above
+    # at phi 3.1456) sits near phi = -0.01: the best grid node is phi = 0,
+    # which comes before the equal phi = 2*pi, and the refinement window
+    # straddles 0 with its winner below it.  An even phi count keeps the
+    # peak's antisymmetry partner off the grid
+    turn = 3.1556
+
+    class Turned(CycleEngine):
+        def evaluate_nodes(self, alphas, phis):
+            rows = super().evaluate_nodes(alphas, np.mod(phis, TWO_PI) + turn)
+            rows["phi"] = phis
+            return rows
+
+    table = grid_sweep(Turned(default_params(steps=256)), GridSpec(alpha_points=9, phi_points=8))
+    assert table.rows["phi"][np.nanargmax(table.rows["w_ext"])] == 0.0
+    ext = locate_extrema(table, Objective.MAX_W_EXT)
+    assert ext.phi_star == pytest.approx(TWO_PI - 0.01, abs=1e-3)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at the default drive duration the landscape peaks near "
@@ -217,6 +237,24 @@ def test_a_fuel_moved_at_one_node_breaks_the_symmetry():
     rows = table.rows.copy()
     rows["q_m"][node] += 1e-6
     assert symmetry_residual(dataclasses.replace(table, rows=rows)) > TOL.symmetry
+
+
+def test_an_eta_pair_with_one_side_undefined_is_skipped():
+    # the partner of a node with eta defined on both sides loses its fuel and
+    # its eta, as at q_m = 0: w_ext is unmoved, so only the eta pair could see
+    # it, and a pair with either side undefined is skipped
+    table = grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(33, 33))
+    a_partner, p_partner = _partner_indices(table.grid)
+    w, q_m, eta = (table.rows[name].reshape(33, 33) for name in ("w_ext", "q_m", "eta"))
+    i, j = np.indices(w.shape)
+    paired = (~np.isnan(eta) & ~np.isnan(eta[a_partner][:, p_partner])
+              & ((i != a_partner[i]) | (j != p_partner[j])))
+    node = np.unravel_index(np.argmax(np.where(paired, np.abs(w * q_m), -1.0)), w.shape)
+    partner = np.ravel_multi_index((a_partner[node[0]], p_partner[node[1]]), w.shape)
+    assert abs(w[node] * q_m[node]) > 1e3 * TOL.symmetry
+    rows = table.rows.copy()
+    rows["q_m"][partner], rows["eta"][partner] = 0.0, np.nan
+    assert symmetry_residual(dataclasses.replace(table, rows=rows)) <= TOL.symmetry
 
 
 def test_symmetry_rejects_asymmetric_grid():

@@ -18,13 +18,16 @@ the arguments shown in each label:
   and exit code of every seed, in that order.
 
 The hashes depend on the host's numpy and BLAS build, so compare two trees
-on the same host.  Exit status is 1 if a command other than ``verify`` does
-not exit 0.
+on the same host.  Before the hashes, two lines name the host: the SIMD
+extensions numpy found on the CPU, and the core OpenBLAS chose (``unknown``
+where numpy ships no OpenBLAS that reports it).  Exit status is 1 if a
+command other than ``verify`` does not exit 0.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -32,11 +35,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
 VERIFY_SEEDS = [*range(100), *range(400, 410)]
 
 
 def sha256(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def host_fingerprint() -> list[str]:
+    """The SIMD extensions and the OpenBLAS core that numpy runs on here."""
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    simd = " ".join(name for name, found in __cpu_features__.items() if found)
+    return [f"simd: {simd}", f"openblas core: {core}"]
 
 
 def main() -> int:
@@ -79,6 +100,8 @@ def main() -> int:
             hashes.append((sha256(joined), "verify --seed 0..99, 400..409: stdout, exit codes"))
         finally:
             os.chdir(cwd)
+    for line in host_fingerprint():
+        print(line)
     for digest, label in hashes:
         print(f"{digest}  {label}")
     for failure in failures:

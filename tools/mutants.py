@@ -70,6 +70,30 @@ MUTANTS = {
                                 '{"first_law": batch.checks["first_law"]} if ok.all() else '
                                 'batch.checks',
                                 '{"first_law": batch.checks["first_law"]}'),
+    # an alpha past pi accepted up to a relative 1e-3, not TOL.alpha_range
+    "alpha-range-1e-3": ("src/qmeter/measurement.py",
+                         "> TOL.alpha_range * alpha", "> 1e-3 * alpha"),
+    # a refinement window across phi = 0 left unwrapped
+    "refine-window-unwrapped": ("src/qmeter/sweep.py",
+                                "best_p + h_p, LOCAL_POINTS) % TWO_PI",
+                                "best_p + h_p, LOCAL_POINTS)"),
+    "np-hypot": ("src/qmeter/propagator.py",
+                 "np.array([math.hypot(t, 0.5 * math.pi) for t in taus.tolist()])",
+                 "np.hypot(taus, 0.5 * math.pi)"),
+    "error-floor-1e-9": ("src/qmeter/propagator.py", "ERROR_FLOOR = 1e-12", "ERROR_FLOOR = 1e-9"),
+    "order-needs-6-rungs": ("src/qmeter/propagator.py",
+                            "if usable.sum() >= 2:", "if usable.sum() >= 6:"),
+    "entropy-12-zero": ("src/qmeter/cycle.py", '"entropy_12": abs(self.s1 - self.s2),',
+                        '"entropy_12": 0.0 * abs(self.s1 - self.s2),'),
+    # eta pairs kept where only the partner's eta is undefined
+    "symmetry-mask-one-side": ("src/qmeter/sweep.py",
+                               "both = ~np.isnan(eta) & ~np.isnan(eta_m)",
+                               "both = ~np.isnan(eta)"),
+    "efficiency-scale-floor-1e-3": ("src/qmeter/cycle.py",
+                                    "np.abs(dp1 - dp4), 1e-300)\n             + (np.abs(dp2) + "
+                                    "np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-300)",
+                                    "np.abs(dp1 - dp4), 1e-3)\n             + (np.abs(dp2) + "
+                                    "np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-3)"),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
