@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import sys
 from dataclasses import dataclass, fields
@@ -25,7 +26,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams
+from .cycle import CycleEngine, EngineParams, split_blocks
 from .errors import ConfigurationError, InvariantViolation
 from .sweep import (
     GridSpec,
@@ -191,20 +192,29 @@ def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     A column with few distinct values, such as the grid angles, has each
     of them formatted once; its tokens enter the line as strings, looked up
     for each block of rows.  Rows are converted ``CSV_BLOCK`` at a time, so
-    the Python objects held at once do not grow with the table.
+    the Python objects held at once do not grow with the table.  From
+    ``SPLIT_BLOCKS`` blocks on, ``split_blocks`` has a forked child format
+    the second half, whose bytes are copied after the parent's.
     """
     repeated = [_repeated_tokens(rows[name]) for name in fields]
     line = ",".join("%.17g" if rep is None else "%s" for rep in repeated) + "\n"
-    with open_output(path) as fh:
-        fh.write(",".join(fields) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK):
+
+    def work(starts, out):
+        for start in starts:
             block = rows[start:start + CSV_BLOCK]
             columns = [
                 block[name].tolist() if rep is None
                 else rep[1][np.searchsorted(rep[0], block[name].view(np.int64))].tolist()
                 for name, rep in zip(fields, repeated)
             ]
-            fh.write("".join([line % values for values in zip(*columns)]))
+            (sink if out is None else out).write(
+                "".join([line % values for values in zip(*columns)]).encode())
+
+    with open_output(path) as fh:
+        sink = fh.buffer
+        sink.write((",".join(fields) + "\n").encode())
+        split_blocks(len(rows), CSV_BLOCK, work,
+                     lambda out, cut: shutil.copyfileobj(out, sink))
 
 
 def write_table_csv(table: SweepTable, path: Path) -> None:
