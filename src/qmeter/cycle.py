@@ -28,6 +28,7 @@ import numbers
 import os
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,45 +76,79 @@ ROW_DTYPE = np.dtype([
 ])
 
 
+def usable_cpus(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The CPUs this process can keep busy: those of its affinity mask, or
+    fewer under a CPU quota on its cgroup or a parent one, as in a container
+    run with ``--cpus=1`` (``cpu.max`` under cgroup v2, ``cpu.cfs_quota_us``
+    over ``cpu.cfs_period_us`` under v1)."""
+    cpus = float(len(os.sched_getaffinity(0)))
+    try:
+        with open(cgroups) as fh:
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        groups = []
+    for _, controllers, group in groups:
+        if not controllers:
+            names = ["cpu.max"]
+        elif "cpu" in controllers.split(","):
+            names = ["cpu.cfs_quota_us", "cpu.cfs_period_us"]
+        else:
+            continue
+        parts = [part for part in group.split("/") if part]
+        for depth in range(len(parts) + 1):
+            words = []
+            for name in names:
+                with contextlib.suppress(OSError), \
+                        open(os.path.join(root, controllers, *parts[:depth], name)) as fh:
+                    words += fh.read().split()
+            if len(words) == 2 and words[0] not in ("max", "-1"):
+                cpus = min(cpus, int(words[0]) / int(words[1]))
+    return cpus
+
+
 def split_blocks(size: int, block: int, work, receive) -> None:
     """Run ``work(starts, out)`` on the blocks of ``block`` items that start
     at ``starts``.  From ``SPLIT_BLOCKS`` blocks on, a forked child runs the
     second half, from item ``cut``, and writes its results to ``out``, an
     unnamed temporary file; the parent runs the first half with ``out``
     None, reaps the child and calls ``receive(out, cut)`` to take them in
-    place.  A child that fails leaves its half to the parent, so every
-    result and exception is the serial one.  One process runs it all
-    without ``os.fork``, 2 usable CPUs, a temporary file or a free process, or
-    while another thread is alive (the child would inherit the locks that
-    thread holds, but not the thread).
+    place.  A child that fails or cannot be forked leaves its half to the
+    parent, so every result and exception is the serial one.  One process
+    runs it all without ``os.fork``, 2 usable CPUs (``usable_cpus``) or a
+    temporary file, or while another thread is alive (the child would
+    inherit the locks that thread holds, but not the thread).
     """
     blocks = -(-size // block)
     cut = (blocks + 1) // 2 * block
     if (blocks < SPLIT_BLOCKS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1):
+            or threading.active_count() > 1 or usable_cpus() < 2):
         work(range(0, size, block), None)
         return
-    with contextlib.ExitStack() as stack:
+    try:
+        out = tempfile.TemporaryFile()
+    except OSError:  # no room for a temporary file
+        work(range(0, size, block), None)
+        return
+    with out:
+        pid = None
         try:
-            out = stack.enter_context(tempfile.TemporaryFile())
-            pid = os.fork()
-        except OSError:  # no temporary file or no free process id
-            work(range(0, size, block), None)
-            return
-        if pid == 0:  # the child never returns, flushes inherited stdio or runs atexit
-            code = 1
-            try:
+            # Python 3.12+ warns in the parent, once the child exists, if
+            # another OS thread (a BLAS one, say) is alive.  No Python thread
+            # is, and raised as an error the warning would lose the child.
+            with warnings.catch_warnings(), contextlib.suppress(OSError):  # no free process id
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child never returns, flushes inherited stdio or runs atexit
                 work(range(cut, size, block), out)
                 out.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
+                os._exit(0)
             work(range(0, cut, block), None)
         finally:
-            status = os.waitpid(pid, 0)[1]
-        out.seek(0)
+            if pid == 0:  # the child's work raised
+                os._exit(1)
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
         if status == 0:
+            out.seek(0)
             receive(out, cut)
         else:
             work(range(cut, size, block), None)

@@ -2,18 +2,21 @@
 half of a large node batch or CSV write, and every byte, exception and file
 is the one-process result.
 
-A test of the split path reports two usable CPUs, so it runs on any host
-with ``os.fork``; the real count only decides the speed.
+A test of the split path reports two usable CPUs and no CPU quota, so it
+runs on any host with ``os.fork``; the real count only decides the speed.
 """
 
+import functools
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from qmeter.cli import CSV_BLOCK, CSV_FIELDS, main, write_rows_csv
-from qmeter.cycle import NODE_BLOCK, SPLIT_BLOCKS, CycleEngine
+from qmeter import cycle
+from qmeter.cycle import NODE_BLOCK, SPLIT_BLOCKS, CycleEngine, usable_cpus
 from qmeter.errors import ValidationError
 from qmeter.verification import suite_symmetry
 
@@ -24,7 +27,8 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """The pids that called ``os.fork``, with two usable CPUs reported."""
+    """The pids that called ``os.fork``, with two usable CPUs reported and
+    no cgroup read."""
     calls = []
     real_fork = os.fork
 
@@ -34,7 +38,19 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cycle, "usable_cpus", functools.partial(usable_cpus, cgroups=os.devnull))
     return calls
+
+
+def cgroups(folder, groups, files):
+    """``usable_cpus`` reading a ``/proc/self/cgroup`` of ``groups`` lines
+    and a cgroup root under ``folder`` that holds ``files``, path -> text."""
+    (folder / "cgroup").write_text("".join(line + "\n" for line in groups))
+    for name, text in files.items():
+        (folder / "root" / name).parent.mkdir(parents=True, exist_ok=True)
+        (folder / "root" / name).write_text(text + "\n")
+    return functools.partial(usable_cpus, cgroups=str(folder / "cgroup"),
+                             root=str(folder / "root"))
 
 
 def assert_no_child_left():
@@ -143,17 +159,64 @@ def test_a_nan_angle_in_either_half_raises_once_from_the_parent(default_table, f
     assert_no_child_left()
 
 
+def test_a_fork_warning_raised_as_an_error_loses_no_child(default_table, forks, monkeypatch):
+    """From Python 3.12, ``os.fork`` warns in the parent, after the fork,
+    when the process has another OS thread, such as a BLAS worker."""
+    rows = default_table.rows[:2 * SPLIT_BLOCKS * NODE_BLOCK]
+    counting_fork = os.fork
+
+    def warning_fork():
+        pid = counting_fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = default_table.engine.evaluate_nodes(rows["alpha"], rows["phi"])
+    assert forks == [os.getpid()]
+    assert split.tobytes() == rows.tobytes()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("groups, files, cpus", [
+    (["0::/"], {}, 4),
+    (["0::/a/b"], {"a/cpu.max": "100000 100000", "a/b/cpu.max": "max 100000"}, 1),
+    (["0::/a/b"], {"a/cpu.max": "max 100000", "a/b/cpu.max": "300000 200000"}, 1.5),
+    (["1:cpu:/"], {"cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000"}, 4),
+    # a container sees its own cgroup at the mount, under its host path
+    (["9:name=systemd:/docker/c", "4:cpu,cpuacct:/docker/c", "3:memory:/docker/c"],
+     {"cpu,cpuacct/cpu.cfs_quota_us": "100000", "cpu,cpuacct/cpu.cfs_period_us": "100000",
+      "memory/cpu.max": "50000 100000"}, 1),
+])
+def test_usable_cpus_are_the_affinity_mask_capped_by_a_cgroup_quota(monkeypatch, tmp_path,
+                                                                     groups, files, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cgroups(tmp_path, groups, files)() == cpus
+    assert usable_cpus(cgroups=str(tmp_path / "missing")) == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_this_hosts_usable_cpus_are_at_most_its_affinity_mask():
+    assert 0 < usable_cpus() <= len(os.sched_getaffinity(0))
+
+
 def refuse(*args):
     raise BlockingIOError("resource temporarily unavailable")
 
 
-@pytest.fixture(params=["one cpu", "second thread", "below threshold", "no fork",
+@pytest.fixture(params=["one cpu", "cpu quota", "second thread", "below threshold", "no fork",
                         "no temporary file"])
-def guarded(request, forks, monkeypatch):
+def guarded(request, forks, monkeypatch, tmp_path_factory):
     """A case that keeps the work in one process; the blocks of work to
     give it, which would split but for the case."""
     if request.param == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if request.param == "cpu quota":  # as under docker --cpus=1.5
+        monkeypatch.setattr(cycle, "usable_cpus", cgroups(
+            tmp_path_factory.mktemp("cgroup"), ["0::/"], {"cpu.max": "150000 100000"}))
     if request.param == "no fork":  # as when no process id is free
         monkeypatch.setattr(os, "fork", refuse)
     if request.param == "no temporary file":
