@@ -2,17 +2,21 @@ import json
 import math
 import os
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeter.cli import (
     BETA_TOKEN,
     CSV_BLOCK,
     CSV_HEADER,
     RunConfig,
-    _repeated_tokens,
     build_parser,
+    csv_lines,
     fmt,
     main,
     parse_config_file,
@@ -206,28 +210,101 @@ def per_row_csv(rows, fields):
     return "\n".join(lines) + "\n"
 
 
+def percent_17g_lines(values):
+    """The reference for ``csv_lines``: one ``%.17g`` per value."""
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "".join([line % tuple(row) for row in values.tolist()]).encode()
+
+
+def half_even_ties():
+    """Floats inside the integer window of ``csv_lines`` whose 18th significant
+    digit is an exact 5, so their 17-digit rounding is a tie: a / 2**(17 - k)
+    with a odd and 10**k <= value < 10**(k + 1), for k from -8 (the smallest
+    with such a) to 14."""
+    ties = []
+    for k in range(-8, 15):
+        first = math.ceil(Fraction(10) ** k * 2 ** (17 - k)) | 1
+        ties += [a * 2.0 ** (k - 17) for a in (first, first + 2)]
+    return ties
+
+
+def edge_values():
+    """Signed zeros, NaN of both signs, the infinities, the smallest and
+    largest doubles; each power of ten from 1e-20 to 1e20 with its neighbours
+    an ulp away; the powers whose 17-digit rounding carries into the next
+    power of ten; integers in [1e15, 1e17] around 2**53 and the 16/17
+    notation boundary; 18-digit ties just below 2**52; three-digit
+    exponents; the ends of the integer window; and exact ties inside it."""
+    tens = np.array([float(f"1e{j}") for j in range(-20, 21)])
+    integers = [1e15, 1e15 + 1, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, 1e16 + 2,
+                99999999999999984.0, 1e17, 1e17 + 16]
+    values = [0.0, math.nan, math.inf, 5e-324, sys.float_info.min, sys.float_info.max,
+              *tens, *np.nextafter(tens, 0.0), *np.nextafter(tens, math.inf),
+              1e-305, 1e-243, 1e-175, 1e-79, 1e-14, 1e98, 1e153, 1e220,  # carries
+              *integers, 2.0**51 + 0.25, 2.0**51 + 0.75, 2.0**52 - 0.25,
+              1.2345e-100, 6.02e123, 2.2250738585072014e-300, 9.9e307,
+              2.0**-36, *np.nextafter(2.0**-36, [0.0, 1.0]),  # the ends of the window
+              2.0**49, *np.nextafter(2.0**49, [0.0, 1e16]),
+              *half_even_ties()]
+    return np.array([*values, *(-np.array(values))])
+
+
+def test_csv_lines_match_percent_17g_on_edge_values():
+    values = edge_values()
+    assert np.isnan(values).sum() == 2 and np.signbit(values[np.isnan(values)]).sum() == 1
+    for columns in (1, 3):
+        table = values[:values.size // columns * columns].reshape(-1, columns)
+        assert csv_lines(table) == percent_17g_lines(table)
+
+
+def test_the_ties_are_ties_and_some_round_down():
+    """Half-even and half-up rounding differ on the ties below an even digit."""
+    scaled = [Fraction(v) * 10 ** (16 - math.floor(math.log10(v))) for v in half_even_ties()]
+    assert all(x.denominator == 2 and 10**16 < x < 10**17 for x in scaled)
+    assert 0 < sum(math.floor(x) % 2 == 0 for x in scaled) < len(scaled)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=32), st.integers(0, 2**32 - 1))
+def test_csv_lines_match_percent_17g_on_random_bit_patterns(drawn, seed):
+    """Raw float64 bit patterns: those hypothesis draws, which favour the
+    ends of the range, 1000 uniform ones and 20000 whose exponent field lies
+    around the integer window; about 10**6 over all examples."""
+    rng = np.random.default_rng(seed)
+    near = (rng.integers(0, 2, 20000, dtype=np.uint64) << 63
+            | rng.integers(975, 1085, 20000).astype(np.uint64) << 52
+            | rng.integers(0, 2**52, 20000, dtype=np.uint64))
+    bits = np.concatenate([np.array(drawn, dtype=np.uint64), near,
+                           rng.integers(0, 2**64, 1000, dtype=np.uint64)])
+    values = bits.view(float)[:bits.size // 4 * 4].reshape(-1, 4)
+    assert csv_lines(values) == percent_17g_lines(values)
+
+
 def awkward_table(size):
     """Columns of few distinct values, with 0.0 and -0.0 together, NaN of
-    both signs and +-inf, next to one of all-distinct values."""
+    both signs and +-inf, next to one of all-distinct values, the edge
+    values of ``csv_lines`` and random bit patterns."""
+    edges = edge_values()
     rows = np.zeros(size, dtype=[("zeros", float), ("specials", float), ("constant", float),
-                                 ("spread", float)])
+                                 ("spread", float), ("edges", float), ("bits", float)])
     k = np.arange(size)
     rows["zeros"] = np.array([0.0, -0.0, 1.5])[k % 3]
     rows["specials"] = np.array([np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf])[k % 4]
     rows["constant"] = -2.25
     rows["spread"] = np.sin(k + 0.5) * 1e-3
     rows["spread"][::7] = -0.0
+    rows["edges"] = edges[k % edges.size]
+    rows["bits"] = np.random.default_rng(size).integers(0, 2**64, size, np.uint64).view(float)
     return rows
 
 
 @pytest.mark.parametrize("size", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
 def test_csv_writer_matches_per_row_formatting_byte_for_byte(tmp_path, size):
     rows = awkward_table(size)
-    fields = ["spread", "zeros", "specials", "constant"]  # not in dtype order
-    if size > 1:  # the few-valued columns take the path that formats each value once
-        assert all(_repeated_tokens(rows[name]) is not None
-                   for name in ("zeros", "specials", "constant"))
-        assert _repeated_tokens(rows["spread"]) is None
+    fields = ["spread", "edges", "zeros", "specials", "bits", "constant"]  # not in dtype order
+    if size >= edge_values().size:  # every edge value, in the same block as other columns
+        assert np.array_equal(np.unique(rows["edges"].view(np.uint64)),
+                              np.unique(edge_values().view(np.uint64)))
     write_rows_csv(rows, fields, tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == per_row_csv(rows, fields).encode()
 

@@ -49,8 +49,19 @@ MUTANTS = {
     "no-newton-schulz": ("src/qmeter/propagator.py",
                          "        factors = 0.5 * (3.0 * factors - factors @ gram)\n", ""),
     "csv-16-digits": ("src/qmeter/cli.py", 'return "%.17g" % value', 'return "%.16g" % value'),
-    "csv-repeat-screen-skipped": ("src/qmeter/cli.py",
-                                  "    if 4 * len(set(sample)) > len(sample):", "    if True:"),
+    # the CSV formatter rounding ties up, not to even
+    "csv-half-up": ("src/qmeter/cli.py", "up = t >> 1 & 1 | (lo << (65 - r) != 0)", "up = 1"),
+    # the decimal exponent kept where the table puts it one too high
+    "csv-no-k-correction": ("src/qmeter/cli.py", "        k[redo] -= 1\n", ""),
+    # fixed notation from k = -5 (C's %g switches at -4)
+    "csv-fixed-from-minus-5": ("src/qmeter/cli.py",
+                               "(ks >= -4) & (ks < 17)", "(ks >= -5) & (ks < 17)"),
+    # the integer window one binade wider at the small end: s = 28, r up to 63
+    "csv-window-wider": ("src/qmeter/cli.py",
+                         "(decade >= -11) & (decade <= 15) & (r >= 2) & (r + 1 <= 62)",
+                         "(decade >= -12) & (decade <= 15) & (r >= 2) & (r + 1 <= 63)"),
+    # no point among the digits of a fixed-notation value of 10 or more
+    "csv-no-point-insert": ("src/qmeter/cli.py", "    if moved.size:", "    if False:"),
     # a check renamed where the kernel computes it, and not in the registry
     "kernel-check-renamed": ("src/qmeter/cycle.py", '"kelvin": q_t,', '"kelvin_statement": q_t,'),
     # a check no longer reported by its verify suite
