@@ -26,7 +26,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .cycle import CycleEngine, EngineParams, split_blocks
+from .cycle import NODE_BLOCK, CycleEngine, EngineParams, split_blocks
 from .errors import ConfigurationError, InvariantViolation
 from .sweep import (
     GridSpec,
@@ -49,7 +49,6 @@ CSV_HEADER = "alpha,phi,w_ext,q_m,q_t,eta,ds,xi,zeta,delta,gamma"
 CSV_FIELDS = CSV_HEADER.split(",")
 SLICE_HEADER = "alpha,phi,w_ext,q_m,eta,ds,zeta,delta,gamma,dp3,dp4"
 SLICE_FIELDS = SLICE_HEADER.split(",")
-CSV_BLOCK = 512  # rows formatted per write
 U64 = np.dtype("<u8")  # the slots of csv_lines, their first character in the low byte
 K_OFFSET = 400  # csv_lines's tables cover decimal exponents -400 to 399
 RAW = 23  # the layout of a token written whole into bytes 0-23 of its slot
@@ -293,16 +292,16 @@ def csv_lines(values: np.ndarray) -> bytes:
 
 def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     """Header plus one line per structured row, the ``fmt`` tokens of its
-    fields, made by ``csv_lines`` ``CSV_BLOCK`` rows at a time so that the
+    fields, made by ``csv_lines`` ``NODE_BLOCK`` rows at a time so that the
     memory held does not grow with the table.  From ``SPLIT_BLOCKS`` blocks
     on, ``split_blocks`` has a forked child format the second half, whose
     bytes are copied after the parent's."""
-    values = np.empty((min(len(rows), CSV_BLOCK), len(fields)))
+    values = np.empty((min(len(rows), NODE_BLOCK), len(fields)))
     _token_tables()  # before a split, so that the child shares them
 
     def work(starts, out):
         for start in starts:
-            block = rows[start:start + CSV_BLOCK]
+            block = rows[start:start + NODE_BLOCK]
             for j, name in enumerate(fields):
                 values[:len(block), j] = block[name]
             (sink if out is None else out).write(csv_lines(values[:len(block)]))
@@ -310,8 +309,7 @@ def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     with open_output(path) as fh:
         sink = fh.buffer
         sink.write((",".join(fields) + "\n").encode())
-        split_blocks(len(rows), CSV_BLOCK, work,
-                     lambda out, cut: shutil.copyfileobj(out, sink))
+        split_blocks(len(rows), work, lambda out, cut: shutil.copyfileobj(out, sink))
 
 
 def write_table_csv(table: SweepTable, path: Path) -> None:

@@ -43,6 +43,7 @@ from .qubit_algebra import (
     KET_MINUS_X,
     SIGMA_X,
     SIGMA_Z,
+    _dagger,
     _density_checks,
     _eigvals,
     _entropy,
@@ -57,8 +58,10 @@ from .tolerances import DEFAULT_TOLERANCES as TOL
 
 _X_BRAS = np.array([KET_PLUS_X, KET_MINUS_X]).conj()
 
-# Nodes per block in evaluate_nodes.  The scratch arrays of one block take
-# about 1.7 kB per node, so they stay under 2 MiB whatever the grid size.
+# Items per block of split_blocks: the nodes of one kernel call in
+# evaluate_nodes, whose scratch arrays take about 1.7 kB per node, and the
+# rows of one csv_lines call in the CSV writer, about 2.2 kB per row at its
+# peak, so a block's scratch stays near 2 MiB whatever the table size.
 NODE_BLOCK = 1024
 # The fewest blocks split_blocks gives a second process, where a split breaks
 # even (2-vCPU VM): a fork and its reap cost 1-3 ms, a block 2-5 ms, and two
@@ -106,28 +109,27 @@ def usable_cpus(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup"
     return cpus
 
 
-def split_blocks(size: int, block: int, work, receive) -> None:
-    """Run ``work(starts, out)`` on the blocks of ``block`` items that start
-    at ``starts``.  From ``SPLIT_BLOCKS`` blocks on, a forked child runs the
-    second half, from item ``cut``, and writes its results to ``out``, an
-    unnamed temporary file; the parent runs the first half with ``out``
-    None, reaps the child and calls ``receive(out, cut)`` to take them in
-    place.  A child that fails or cannot be forked leaves its half to the
-    parent, so every result and exception is the serial one.  One process
-    runs it all without ``os.fork``, 2 usable CPUs (``usable_cpus``) or a
-    temporary file, or while another thread is alive (the child would
+def split_blocks(size: int, work, receive) -> None:
+    """Run ``work(starts, out)`` on the blocks of ``NODE_BLOCK`` items that
+    start at ``starts``.  From ``SPLIT_BLOCKS`` blocks on, a forked child
+    runs the second half, from item ``cut``, and writes its results to
+    ``out``, an unnamed temporary file; the parent runs the first half with
+    ``out`` None, reaps the child and calls ``receive(out, cut)`` to take
+    them in place.  A child that fails or cannot be forked leaves its half
+    to the parent, so every result and exception is the serial one.  One
+    process runs it all without ``os.fork``, 2 usable CPUs (``usable_cpus``)
+    or a temporary file, or while another thread is alive (the child would
     inherit the locks that thread holds, but not the thread).
     """
-    blocks = -(-size // block)
-    cut = (blocks + 1) // 2 * block
-    if (blocks < SPLIT_BLOCKS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1 or usable_cpus() < 2):
-        work(range(0, size, block), None)
-        return
-    try:
-        out = tempfile.TemporaryFile()
-    except OSError:  # no room for a temporary file
-        work(range(0, size, block), None)
+    blocks = -(-size // NODE_BLOCK)
+    cut = (blocks + 1) // 2 * NODE_BLOCK
+    out = None
+    if (blocks >= SPLIT_BLOCKS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1 and usable_cpus() >= 2):
+        with contextlib.suppress(OSError):  # no room for a temporary file
+            out = tempfile.TemporaryFile()
+    if out is None:
+        work(range(0, size, NODE_BLOCK), None)
         return
     with out:
         pid = None
@@ -139,10 +141,10 @@ def split_blocks(size: int, block: int, work, receive) -> None:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:  # the child never returns, flushes inherited stdio or runs atexit
-                work(range(cut, size, block), out)
+                work(range(cut, size, NODE_BLOCK), out)
                 out.flush()
                 os._exit(0)
-            work(range(0, cut, block), None)
+            work(range(0, cut, NODE_BLOCK), None)
         finally:
             if pid == 0:  # the child's work raised
                 os._exit(1)
@@ -151,7 +153,7 @@ def split_blocks(size: int, block: int, work, receive) -> None:
             out.seek(0)
             receive(out, cut)
         else:
-            work(range(cut, size, block), None)
+            work(range(cut, size, NODE_BLOCK), None)
 
 
 @dataclass(frozen=True)
@@ -437,10 +439,10 @@ class CycleEngine:
         self.h1 = 0.5 * SIGMA_Z
         self.h2 = 0.5 * SIGMA_X
         self.u, self.v = u, v
-        self.v_dag = v.conj().swapaxes(-1, -2)
+        self.v_dag = _dagger(v)
         self.targets = _targets(u)
         self.rho1 = gibbs_state(self.h1, beta)
-        self.rho2 = require_density_matrix(u @ self.rho1 @ u.conj().swapaxes(-1, -2), "rho2")
+        self.rho2 = require_density_matrix(u @ self.rho1 @ _dagger(u), "rho2")
         self.s1, self.s2 = _entropy(*_eigvals(np.stack([self.rho1, self.rho2])))
         self.e1 = trace_2x2(matmul_right(self.rho1, self.h1)).real
         self.e2 = trace_2x2(matmul_right(self.rho2, self.h2)).real
@@ -476,8 +478,7 @@ class CycleEngine:
             if out is not None:
                 out.write(rows[starts.start:].view(np.uint8))
 
-        split_blocks(rows.size, NODE_BLOCK, work,
-                     lambda out, cut: out.readinto(rows[cut:].view(np.uint8)))
+        split_blocks(rows.size, work, lambda out, cut: out.readinto(rows[cut:].view(np.uint8)))
         return rows
 
     def _evaluate_block(self, alphas, phis, out: np.ndarray) -> CycleRecord:

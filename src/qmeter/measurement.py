@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, require_within
-from .qubit_algebra import IDENTITY, entry_max, matmul_right, require_density_matrix, trace_2x2
+from .qubit_algebra import (IDENTITY, _dagger, entry_max, matmul_right, require_density_matrix,
+                            trace_2x2)
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
 TWO_PI = 2.0 * math.pi
@@ -102,7 +103,7 @@ def _measure(rho: np.ndarray, basis: MeasurementBasis, rehermitize: bool = True)
     post = proj_rho @ proj
     post = post[0] + post[1]
     if rehermitize:
-        post = 0.5 * (post + post.conj().swapaxes(-1, -2))
+        post = 0.5 * (post + _dagger(post))
     p1, p2 = trace_2x2(proj_rho).real
     leak = np.abs(_overlap(basis.chi1, (post @ basis.chi2[..., None])[..., 0]))
     return post, (p1, p2), {"probability_sum": (np.abs(p1 + p2 - 1.0), TOL.probability),

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z, matmul_right
+from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z, _dagger, matmul_right
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
@@ -94,7 +94,7 @@ def _ordered_product(factors: np.ndarray, leaves: int | None = None) -> np.ndarr
         factors = np.concatenate([factors, pad], axis=-3)
     while factors.shape[-3] > 1:
         factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
-        gram = factors.conj().swapaxes(-1, -2) @ factors
+        gram = _dagger(factors) @ factors
         factors = 0.5 * (3.0 * factors - factors @ gram)
     return factors[..., 0, :, :]
 
@@ -118,7 +118,7 @@ def exact_drive_propagators(taus) -> np.ndarray:
     y = s * (0.5 * math.pi / theta)[:, None, None] * SIGMA_Y
     r = (IDENTITY - 1j * SIGMA_Y) / math.sqrt(2.0)
     u = r @ (c * IDENTITY - 1j * (z - y))
-    v = matmul_right(c * IDENTITY - 1j * (z + y), r.conj().T)
+    v = matmul_right(c * IDENTITY - 1j * (z + y), _dagger(r))
     return np.stack([u, v], axis=1)
 
 

@@ -137,26 +137,17 @@ def _partner_indices(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetry_residual(table: SweepTable) -> float:
-    """Max paired deviation of w_ext and eta under (alpha, phi) -> (pi-alpha, phi+pi).
+    """Max paired deviation of w_ext and q_m under (alpha, phi) -> (pi-alpha, phi+pi).
 
-    Eta pairs with either side undefined are skipped.  The eta pairs are
-    compared in cross-multiplied form |w*q_m' - w'*q_m| (normalized by the
-    larger product and at least 1, the squared energy unit): a direct eta
-    difference divides by the fuel, whose zero curve amplifies roundoff
-    without bound, while the cross form carries the identical symmetry
-    content.
+    Both stored energies are compared directly at every node, including
+    where eta is undefined.  Eta itself is not compared: it divides by the
+    fuel, whose zero curve amplifies roundoff without bound, and its
+    symmetry follows from that of w_ext and q_m.
     """
     a_partner, p_partner = _partner_indices(table.grid)
     shape = (table.grid.alpha_points, table.grid.phi_points)
-    w, q_m, eta = (table.rows[name].reshape(shape) for name in ("w_ext", "q_m", "eta"))
-    w_m, q_m_m, eta_m = (x[a_partner][:, p_partner] for x in (w, q_m, eta))
-    residual = float(np.abs(w - w_m).max())
-    both = ~np.isnan(eta) & ~np.isnan(eta_m)
-    if both.any():
-        scale = np.maximum(1.0, np.maximum(np.abs(w * q_m_m), np.abs(w_m * q_m)))
-        cross = np.abs(w * q_m_m - w_m * q_m) / scale
-        residual = max(residual, float(cross[both].max()))
-    return residual
+    return max(float(np.abs(x - x[a_partner][:, p_partner]).max())
+               for x in (table.rows[name].reshape(shape) for name in ("w_ext", "q_m")))
 
 
 def _slice_nodes(fixed: str, value: float, points: int) -> tuple:

@@ -27,6 +27,7 @@ from .qubit_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _dagger,
     _density_checks,
     _entropy,
     hermitian_expm,
@@ -75,7 +76,7 @@ def _random_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """Gibbs states of random Hamiltonians, turned by random unitaries."""
     rho = gibbs_state(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
     u = hermitian_expm(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
-    return u @ rho @ u.conj().swapaxes(-1, -2)
+    return u @ rho @ _dagger(u)
 
 
 def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) -> SuiteResult:

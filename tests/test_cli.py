@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qmeter.cli import (
     BETA_TOKEN,
-    CSV_BLOCK,
     CSV_HEADER,
     RunConfig,
     build_parser,
@@ -22,6 +21,7 @@ from qmeter.cli import (
     parse_config_file,
     write_rows_csv,
 )
+from qmeter.cycle import NODE_BLOCK
 from qmeter.propagator import MAX_STEPS
 
 from conftest import DEFAULT_OMEGA_TAU
@@ -298,7 +298,7 @@ def awkward_table(size):
     return rows
 
 
-@pytest.mark.parametrize("size", [1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("size", [1, NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1])
 def test_csv_writer_matches_per_row_formatting_byte_for_byte(tmp_path, size):
     rows = awkward_table(size)
     fields = ["spread", "edges", "zeros", "specials", "bits", "constant"]  # not in dtype order

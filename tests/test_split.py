@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeter.cli import CSV_BLOCK, CSV_FIELDS, main, write_rows_csv
-from qmeter import cycle
+from qmeter.cli import CSV_FIELDS, main, write_rows_csv
+from qmeter import cli, cycle
 from qmeter.cycle import NODE_BLOCK, SPLIT_BLOCKS, CycleEngine, usable_cpus
 from qmeter.errors import ValidationError
 from qmeter.verification import suite_symmetry
@@ -67,7 +67,7 @@ def serial_rows(engine, alphas, phis):
 
 def serial_csv(rows, tmp_path):
     """The data lines of ``rows``, written in pieces too small to split."""
-    piece, path = (SPLIT_BLOCKS - 1) * CSV_BLOCK, tmp_path / "piece.csv"
+    piece, path = (SPLIT_BLOCKS - 1) * NODE_BLOCK, tmp_path / "piece.csv"
     lines = b""
     for i in range(0, len(rows), piece):
         write_rows_csv(rows[i:i + piece], CSV_FIELDS, path)
@@ -95,7 +95,7 @@ def test_a_split_sweep_equals_its_halves_evaluated_in_one_process(default_table,
 def test_a_split_csv_equals_the_header_and_its_halves_written_in_one_process(
         default_table, forks, tmp_path):
     rows = default_table.rows
-    cut = (-(-len(rows) // CSV_BLOCK) + 1) // 2 * CSV_BLOCK
+    cut = (-(-len(rows) // NODE_BLOCK) + 1) // 2 * NODE_BLOCK
     expected = ("\n".join([",".join(CSV_FIELDS), ""]).encode()
                 + serial_csv(rows[:cut], tmp_path) + serial_csv(rows[cut:], tmp_path))
     assert forks == []
@@ -106,11 +106,32 @@ def test_a_split_csv_equals_the_header_and_its_halves_written_in_one_process(
     assert_no_child_left()
 
 
-def test_the_split_starts_at_split_blocks(default_engine, default_table, forks):
-    rows = default_table.rows[:(SPLIT_BLOCKS - 1) * NODE_BLOCK + 1]
-    split = default_engine.evaluate_nodes(rows["alpha"], rows["phi"])
-    assert len(forks) == 1
-    assert split.tobytes() == rows.tobytes()
+def test_the_split_starts_at_split_blocks(default_table, forks, monkeypatch, tmp_path):
+    """A node batch and a CSV of ``SPLIT_BLOCKS`` blocks, the last one
+    partial or full, both split at the same row; one block fewer splits
+    neither."""
+    cuts, real_split = [], cycle.split_blocks
+
+    def recording_split(size, work, receive):
+        def recording_receive(out, cut):
+            cuts.append(cut)
+            receive(out, cut)
+        real_split(size, work, recording_receive)
+
+    monkeypatch.setattr(cycle, "split_blocks", recording_split)
+    monkeypatch.setattr(cli, "split_blocks", recording_split)
+    path, header = tmp_path / "sweep.csv", "\n".join([",".join(CSV_FIELDS), ""]).encode()
+    fewest = (SPLIT_BLOCKS - 1) * NODE_BLOCK + 1
+    for size in (fewest - 1, fewest, SPLIT_BLOCKS * NODE_BLOCK):
+        rows = default_table.rows[:size]
+        del forks[:], cuts[:]
+        nodes = default_table.engine.evaluate_nodes(rows["alpha"], rows["phi"])
+        write_rows_csv(rows, CSV_FIELDS, path)
+        splits = 2 if size >= fewest else 0
+        assert len(forks) == splits
+        assert cuts == [(SPLIT_BLOCKS + 1) // 2 * NODE_BLOCK] * splits
+        assert nodes.tobytes() == rows.tobytes()
+        assert path.read_bytes() == header + serial_csv(rows, tmp_path)
     assert_no_child_left()
 
 
@@ -134,7 +155,7 @@ def test_a_failed_child_leaves_its_nodes_to_the_parent(default_table, forks, mon
 
 def test_a_failed_child_leaves_its_csv_lines_to_the_parent(default_table, forks, monkeypatch,
                                                            tmp_path, capfd):
-    rows = default_table.rows[:2 * SPLIT_BLOCKS * CSV_BLOCK + 7]
+    rows = default_table.rows[:2 * SPLIT_BLOCKS * NODE_BLOCK + 7]
     write_rows_csv(rows, CSV_FIELDS, tmp_path / "parent.csv")  # splits, as checked below
     # a temporary file that refuses writes makes the child fail
     monkeypatch.setattr("tempfile.TemporaryFile", lambda: open(os.devnull, "rb"))
@@ -238,7 +259,7 @@ def test_a_guard_keeps_the_nodes_in_one_process(default_table, guarded, forks):
 
 
 def test_a_guard_keeps_the_csv_in_one_process(default_table, guarded, forks, tmp_path):
-    rows = default_table.rows[:guarded * CSV_BLOCK]
+    rows = default_table.rows[:guarded * NODE_BLOCK]
     write_rows_csv(rows, CSV_FIELDS, tmp_path / "sweep.csv")
     assert forks == []
     assert (tmp_path / "sweep.csv").read_bytes() == (

@@ -225,7 +225,7 @@ def test_symmetry_residual_is_parameter_independent(rng):
 
 def test_a_fuel_moved_at_one_node_breaks_the_symmetry():
     # q_m moved by 1e-6 at one node and not at its partner, where eta is
-    # defined on both sides: w_ext is unmoved, so only the eta pairs see it
+    # defined on both sides: w_ext is unmoved, so only the fuel pairs see it
     table = grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(33, 33))
     assert symmetry_residual(table) <= TOL.symmetry
     a_partner, p_partner = _partner_indices(table.grid)
@@ -239,10 +239,10 @@ def test_a_fuel_moved_at_one_node_breaks_the_symmetry():
     assert symmetry_residual(dataclasses.replace(table, rows=rows)) > TOL.symmetry
 
 
-def test_an_eta_pair_with_one_side_undefined_is_skipped():
+def test_a_fuel_lost_at_an_undefined_eta_partner_breaks_the_symmetry():
     # the partner of a node with eta defined on both sides loses its fuel and
-    # its eta, as at q_m = 0: w_ext is unmoved, so only the eta pair could see
-    # it, and a pair with either side undefined is skipped
+    # its eta, as at q_m = 0: w_ext is unmoved, and the fuel pair sees it
+    # though the partner's eta is undefined
     table = grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(33, 33))
     a_partner, p_partner = _partner_indices(table.grid)
     w, q_m, eta = (table.rows[name].reshape(33, 33) for name in ("w_ext", "q_m", "eta"))
@@ -254,7 +254,23 @@ def test_an_eta_pair_with_one_side_undefined_is_skipped():
     assert abs(w[node] * q_m[node]) > 1e3 * TOL.symmetry
     rows = table.rows.copy()
     rows["q_m"][partner], rows["eta"][partner] = 0.0, np.nan
-    assert symmetry_residual(dataclasses.replace(table, rows=rows)) <= TOL.symmetry
+    assert symmetry_residual(dataclasses.replace(table, rows=rows)) > TOL.symmetry
+
+
+def test_a_fuel_moved_where_eta_is_undefined_on_both_sides_breaks_the_symmetry():
+    # q_m moved by 1e-3 at a node whose eta, and its partner's, is undefined:
+    # no eta pair holds it, and the fuel pair sees it
+    table = grid_sweep(CycleEngine(default_params(steps=256)), GridSpec(33, 33))
+    a_partner, p_partner = _partner_indices(table.grid)
+    eta = table.rows["eta"].reshape(33, 33)
+    i, j = np.indices(eta.shape)
+    unpaired = (np.isnan(eta) & np.isnan(eta[a_partner][:, p_partner])
+                & ((i != a_partner[i]) | (j != p_partner[j])))
+    assert unpaired.any()
+    node = np.flatnonzero(unpaired)[0]
+    rows = table.rows.copy()
+    rows["q_m"][node] += 1e-3
+    assert symmetry_residual(dataclasses.replace(table, rows=rows)) > TOL.symmetry
 
 
 def test_symmetry_rejects_asymmetric_grid():

@@ -29,9 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = {
-    # the symmetry residual without its eta cross-product half
-    "symmetry-cross-half": ("src/qmeter/sweep.py",
-                            "        residual = max(residual, float(cross[both].max()))\n", ""),
+    # the symmetry residual without its fuel column
+    "symmetry-no-fuel": ("src/qmeter/sweep.py",
+                         'for name in ("w_ext", "q_m")))', 'for name in ("w_ext",)))'),
     "zoom-5": ("src/qmeter/sweep.py", "ZOOM = 10.0", "ZOOM = 5.0"),
     "fuel-threshold-x10": ("src/qmeter/cycle.py", "fueled = q_m > TOL.fuel",
                            "fueled = q_m > 10 * TOL.fuel"),
@@ -96,10 +96,10 @@ MUTANTS = {
                             "if usable.sum() >= 2:", "if usable.sum() >= 6:"),
     "entropy-12-zero": ("src/qmeter/cycle.py", '"entropy_12": abs(self.s1 - self.s2),',
                         '"entropy_12": 0.0 * abs(self.s1 - self.s2),'),
-    # eta pairs kept where only the partner's eta is undefined
-    "symmetry-mask-one-side": ("src/qmeter/sweep.py",
-                               "both = ~np.isnan(eta) & ~np.isnan(eta_m)",
-                               "both = ~np.isnan(eta)"),
+    # the child's half of a split never taken in
+    "split-child-half-dropped": ("src/qmeter/cycle.py", "            receive(out, cut)\n", ""),
+    # a split from the first block, so that every table forks
+    "split-from-one-block": ("src/qmeter/cycle.py", "SPLIT_BLOCKS = 4", "SPLIT_BLOCKS = 1"),
     "efficiency-scale-floor-1e-3": ("src/qmeter/cycle.py",
                                     "np.abs(dp1 - dp4), 1e-300)\n             + (np.abs(dp2) + "
                                     "np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-300)",
