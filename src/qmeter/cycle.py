@@ -48,7 +48,7 @@ from .qubit_algebra import (
     _eigvals,
     _entropy,
     gibbs_state,
-    matmul_right,
+    matmul_2x2,
     require_density_matrix,
     require_unitary,
     tanh,
@@ -59,13 +59,16 @@ from .tolerances import DEFAULT_TOLERANCES as TOL
 _X_BRAS = np.array([KET_PLUS_X, KET_MINUS_X]).conj()
 
 # Items per block of split_blocks: the nodes of one kernel call in
-# evaluate_nodes, whose scratch arrays take about 1.7 kB per node, and the
-# rows of one csv_lines call in the CSV writer, about 2.2 kB per row at its
-# peak, so a block's scratch stays near 2 MiB whatever the table size.
+# evaluate_nodes, whose scratch arrays take about 1.5 kB per node at their
+# peak (0.55 kB of it the grouped products' scratch), and the rows of one
+# csv_lines call in the CSV writer, about 2.2 kB per row at its peak, so a
+# block's scratch stays near 2 MiB whatever the table size.
 NODE_BLOCK = 1024
-# The fewest blocks split_blocks gives a second process, where a split breaks
-# even (2-vCPU VM): a fork and its reap cost 1-3 ms, a block 2-5 ms, and two
-# busy vCPUs run each half in about 62% of the one-process time.
+# The fewest blocks split_blocks gives a second process (2-vCPU VM): a fork
+# and its reap cost 1-3 ms, a block 1.3-2.5 ms, and two busy vCPUs run each
+# half in about 62% of the one-process time.  It was set where a split broke
+# even with blocks of 2-5 ms; with today's blocks a 4-block split runs about
+# 1.5 times as long as one process, and the break-even is near 8 blocks.
 SPLIT_BLOCKS = 4
 
 # One row per evaluated node: the sweep table, the slice profile (which
@@ -324,10 +327,10 @@ def _overlap_probabilities(targets: np.ndarray, v: np.ndarray,
     """``transition_probabilities`` for a unitary v checked by the caller and
     ``targets = _targets(u)``, and its per-node check ``completeness``."""
     # |<chi_k|t>|^2 for k = 1, 2 (first axis) and t = u|down>, |-x> (last
-    # axis), as one small product per node.  The matrix is shared on the
-    # left here, and rewriting that as one (M, 2) @ (2, 2) GEMM by
-    # transposing swaps the factors inside each FMA, which moves the last
-    # bit; only a product shared on the right is bit-identical as a GEMM
+    # axis), as one small product per node.  These matrix-vector products
+    # keep numpy's stacked form: rewriting one as a GEMM, by transposing or
+    # block-diagonal grouping as in matmul_2x2, moves the last bit on some
+    # OpenBLAS cores (SkylakeX), and they are cheap
     to_basis = np.abs(_apply(targets.swapaxes(-1, -2), basis.kets.conj())) ** 2
     zeta, delta = to_basis[1, ..., 0], to_basis[1, ..., 1]
     onto_x = np.abs(_apply(_X_BRAS, targets[..., 0])) ** 2
@@ -442,10 +445,11 @@ class CycleEngine:
         self.v_dag = _dagger(v)
         self.targets = _targets(u)
         self.rho1 = gibbs_state(self.h1, beta)
-        self.rho2 = require_density_matrix(u @ self.rho1 @ _dagger(u), "rho2")
+        self.rho2 = require_density_matrix(matmul_2x2(matmul_2x2(u, self.rho1), _dagger(u)),
+                                           "rho2")
         self.s1, self.s2 = _entropy(*_eigvals(np.stack([self.rho1, self.rho2])))
-        self.e1 = trace_2x2(matmul_right(self.rho1, self.h1)).real
-        self.e2 = trace_2x2(matmul_right(self.rho2, self.h2)).real
+        self.e1 = trace_2x2(matmul_2x2(self.rho1, self.h1)).real
+        self.e2 = trace_2x2(matmul_2x2(self.rho2, self.h2)).real
 
     def evaluate_flagged(self, alpha: float, phi: float) -> tuple[CycleRecord, dict[str, float]]:
         """Evaluate one node; returns (record, violations), the worst residual
@@ -492,11 +496,11 @@ class CycleEngine:
 
         # trace path, on (M, 2, 2) density-matrix stacks
         rho3, _, channel_checks = _measure(self.rho2, basis)
-        rho4 = matmul_right(self.v @ rho3, self.v_dag)
+        rho4 = matmul_2x2(matmul_2x2(self.v, rho3), self.v_dag)
         density, eigvals = _density_checks(np.array([rho3, rho4]))
         s3, s4 = _entropy(*eigvals)
-        e3 = trace_2x2(matmul_right(rho3, self.h2)).real
-        e4 = trace_2x2(matmul_right(rho4, self.h1)).real
+        e3 = trace_2x2(matmul_2x2(rho3, self.h2)).real
+        e4 = trace_2x2(matmul_2x2(rho4, self.h1)).real
         w1 = self.e2 - self.e1
         q_m = e3 - self.e2
         w2 = e4 - e3

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, require_within
-from .qubit_algebra import (IDENTITY, _dagger, entry_max, matmul_right, require_density_matrix,
+from .qubit_algebra import (IDENTITY, _dagger, entry_max, matmul_2x2, require_density_matrix,
                             trace_2x2)
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
@@ -99,8 +99,8 @@ def basis_kets(alpha, phi) -> MeasurementBasis:
 def _measure(rho: np.ndarray, basis: MeasurementBasis, rehermitize: bool = True):
     """``measure`` of a checked rho, returning its self-checks per node, not raised."""
     proj = basis.projectors
-    proj_rho = matmul_right(proj, rho)
-    post = proj_rho @ proj
+    proj_rho = matmul_2x2(proj, rho)
+    post = matmul_2x2(proj_rho, proj)
     post = post[0] + post[1]
     if rehermitize:
         post = 0.5 * (post + _dagger(post))

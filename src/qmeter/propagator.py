@@ -14,7 +14,8 @@ and bit-for-bit deterministic for a given step count.  Each aligned chunk of
 ``STEP_CHUNK`` steps of the pair is made and reduced on its own, padded with
 identities to exactly ``STEP_CHUNK`` leaves, and the chunk products are
 reduced last: that is the one tree over all steps, so the bytes do not depend
-on the chunking, and a build's memory stays near 1 MiB at any step count.
+on the chunking, and a build's memory stays near 1.5 MiB at any step count,
+1 MiB of it the scratch of ``matmul_2x2`` at a chunk's 2048-pair first level.
 Builds are cached by ``(tau, steps)``: the last 32 pairs are kept, read-only,
 and every caller of one duration and step count shares its pair.  In the
 frame turning with the drive axis each stroke has an exact closed form, the
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z, _dagger, matmul_right
+from .qubit_algebra import IDENTITY, SIGMA_Y, SIGMA_Z, _dagger, matmul_2x2
 
 REFERENCE_STEPS = 65536
 ERROR_FLOOR = 1e-12
@@ -93,9 +94,9 @@ def _ordered_product(factors: np.ndarray, leaves: int | None = None) -> np.ndarr
         pad = np.broadcast_to(IDENTITY, factors.shape[:-3] + (size - n, 2, 2))
         factors = np.concatenate([factors, pad], axis=-3)
     while factors.shape[-3] > 1:
-        factors = factors[..., 1::2, :, :] @ factors[..., 0::2, :, :]
-        gram = _dagger(factors) @ factors
-        factors = 0.5 * (3.0 * factors - factors @ gram)
+        factors = matmul_2x2(factors[..., 1::2, :, :], factors[..., 0::2, :, :])
+        gram = matmul_2x2(_dagger(factors), factors)
+        factors = 0.5 * (3.0 * factors - matmul_2x2(factors, gram))
     return factors[..., 0, :, :]
 
 
@@ -117,8 +118,8 @@ def exact_drive_propagators(taus) -> np.ndarray:
     z = s * (taus / theta)[:, None, None] * SIGMA_Z
     y = s * (0.5 * math.pi / theta)[:, None, None] * SIGMA_Y
     r = (IDENTITY - 1j * SIGMA_Y) / math.sqrt(2.0)
-    u = r @ (c * IDENTITY - 1j * (z - y))
-    v = matmul_right(c * IDENTITY - 1j * (z + y), _dagger(r))
+    u = matmul_2x2(r, c * IDENTITY - 1j * (z - y))
+    v = matmul_2x2(c * IDENTITY - 1j * (z + y), _dagger(r))
     return np.stack([u, v], axis=1)
 
 

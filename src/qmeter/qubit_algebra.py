@@ -30,6 +30,13 @@ KET_DOWN = np.array([0, 1], dtype=complex)
 KET_PLUS_X = np.array([1, 1], dtype=complex) / math.sqrt(2)
 KET_MINUS_X = np.array([1, -1], dtype=complex) / math.sqrt(2)
 
+# pairs per block-diagonal GEMM of matmul_2x2, with 4 kB of scratch per group;
+# 8 ran about 10% faster than 4 at 1024 pairs
+_GROUP = 8
+# the strides of the diagonal blocks of a (groups, 2g, 2g) complex array:
+# group, pair, row, column
+_DIAGONAL = (16 * 4 * _GROUP**2, 16 * (4 * _GROUP + 2), 16 * 2 * _GROUP, 16)
+
 
 def _as_stack(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -49,17 +56,49 @@ def trace_2x2(m: np.ndarray):
     return m[..., 0, 0] + m[..., 1, 1]
 
 
-def matmul_right(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for a stack x of 2x2 matrices.
+def matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex 2x2 matrices, either factor a stack (..., 2, 2), with
+    the bits of numpy's stacked product at a fraction of its cost.
 
-    A single matrix m, shared by the whole stack, runs as one
-    (N, 2) @ (2, 2) GEMM at a fraction of the cost: the shared factor stays
-    on the right, so each entry is the same FMA sequence as in the stacked
-    product and the bits are the same.  A stack m keeps the stacked product.
+    numpy runs a stacked product as one GEMM call per pair, and the call's
+    overhead is most of its cost.  A single right factor b, shared by the
+    stack a, runs as one (N, 2) @ (2, 2) GEMM.  Stacks run in groups of
+    ``_GROUP`` pairs, one GEMM per group: the group's left factors on the
+    diagonal of a zeroed (2g, 2g) matrix times its right factors stacked as
+    (2g, 2).  Either way each entry is the sum of the stacked product's terms
+    in its order, plus exact zeros in the groups, which leave a nonzero sum
+    as it is; a pair with an entry that comes out exactly 0 is taken again
+    from the stacked product, as the sign of that zero may differ.  The
+    mirrored form, a block-diagonal right factor, does not keep the bits.
+    A stack of fewer than four groups runs as the stacked product, which
+    is as fast there.
+
+    The right factor must be finite: the zero blocks of a group multiply
+    every right factor of the group, so an inf or NaN in one turns its whole
+    group into NaN (0 * inf).  A non-finite left factor stays in its pair.
     """
-    if m.ndim != 2:
-        return x @ m
-    return (x.reshape(-1, 2) @ m).reshape(x.shape)
+    if b.ndim == 2:
+        return (a.reshape(-1, 2) @ b).reshape(a.shape)
+    if max(a.size, b.size) < 16 * _GROUP:  # under four groups, where @ is as fast
+        return a @ b
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    a, b = a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)
+    groups = len(a) // _GROUP
+    full = groups * _GROUP
+    blocks = np.zeros((groups, 2 * _GROUP, 2 * _GROUP), dtype=complex)
+    np.ndarray((groups, _GROUP, 2, 2), complex, blocks, 0, _DIAGONAL)[...] = \
+        a[:full].reshape(groups, _GROUP, 2, 2)
+    out = np.empty(a.shape, dtype=complex)
+    np.matmul(blocks, b[:full].reshape(groups, 2 * _GROUP, 2),
+              out=out[:full].reshape(groups, 2 * _GROUP, 2))
+    np.matmul(a[full:], b[full:], out=out[full:])
+    parts = out[:full].view(float).reshape(full, 8)
+    if np.count_nonzero(parts) < parts.size:
+        redo = np.flatnonzero((parts == 0.0).any(axis=1))
+        out[redo] = a[redo] @ b[redo]
+    return out.reshape(shape)
 
 
 def entry_max(m: np.ndarray):
@@ -118,7 +157,7 @@ def hermitian_expm(h: np.ndarray, t) -> np.ndarray:
 def unitarity_residual(u: np.ndarray) -> float:
     """Entrywise deviation of u^dag u from the identity; the largest over a stack."""
     u = np.asarray(u, dtype=complex)
-    return float(np.abs(_dagger(u) @ u - IDENTITY).max())
+    return float(np.abs(matmul_2x2(_dagger(u), u) - IDENTITY).max())
 
 
 def require_unitary(u: np.ndarray, name: str = "U") -> np.ndarray:

@@ -33,6 +33,7 @@ from .qubit_algebra import (
     hermitian_expm,
     hermiticity_residual,
     gibbs_state,
+    matmul_2x2,
     trace_2x2,
     unitarity_residual,
 )
@@ -76,7 +77,7 @@ def _random_states(rng: np.random.Generator, n: int) -> np.ndarray:
     """Gibbs states of random Hamiltonians, turned by random unitaries."""
     rho = gibbs_state(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
     u = hermitian_expm(_random_hermitians(rng, n), rng.uniform(0.0, 3.0, n))
-    return u @ rho @ _dagger(u)
+    return matmul_2x2(matmul_2x2(u, rho), _dagger(u))
 
 
 def suite_unitarity(rng: np.random.Generator, omega_tau: float, samples: int) -> SuiteResult:

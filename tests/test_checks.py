@@ -106,19 +106,24 @@ def shifted_dp4(monkeypatch, node):
 
 
 def changed_rho4(change):
-    """A fault replacing rho4 = (v rho3) v^dag at the node by ``change(rho4)``;
-    the energies multiply by real Hamiltonians, the propagator is complex."""
+    """A fault replacing rho4 = (v rho3) v^dag at the node by ``change(rho4)``.
+
+    Of the products in ``qmeter.cycle``, that last one alone has v^dag on the
+    right; the others have a Hamiltonian, rho1, rho3 or u^dag there.  The CLI
+    makes its duration from the pulse length and lands within an ulp of
+    PARAMS', so v^dag is matched to 1e-12, far below |u - v| (2.7e-5)."""
 
     def fault(monkeypatch, node):
-        real = qmeter.cycle.matmul_right
+        real = qmeter.cycle.matmul_2x2
+        v_dag = qmeter.cycle.time_ordered_propagator(PARAMS.omega_tau, PARAMS.steps)[1].conj().T
 
         def product(x, m):
             out = real(x, m)
-            if m.imag.any():
+            if m.shape == v_dag.shape and np.abs(m - v_dag).max() < 1e-12:
                 out[node] = change(out[node])
             return out
 
-        monkeypatch.setattr(qmeter.cycle, "matmul_right", product)
+        monkeypatch.setattr(qmeter.cycle, "matmul_2x2", product)
 
     return fault
 
@@ -269,6 +274,20 @@ def test_a_fault_at_one_node_is_a_row_flag_in_sweep_and_exit_2_in_run(
         f"invariant violation: cycle invariants violated: {', '.join(tripped(check))}\n")
     for name in tripped(check):
         assert f"  {name}: " in err
+
+
+def test_the_rho4_fault_changes_one_product_of_the_kernel(monkeypatch):
+    # not rho2, made by the same two products at engine setup, nor v rho3
+    changes = []
+    changed_rho4(lambda rho: changes.append(rho) or rho)(monkeypatch, NODE)
+    engine = qmeter.cycle.CycleEngine(PARAMS)
+    assert changes == []
+    grid_sweep(engine, GRID)
+    assert len(changes) == 1
+    monkeypatch.undo()
+    changed_rho4(lambda rho: changes.append(rho) or rho)(monkeypatch, ...)
+    record, _ = qmeter.cycle.CycleEngine(PARAMS).evaluate_flagged(1.39, 2.05)
+    assert len(changes) == 2 and np.array_equal(changes[1], record.rho4)
 
 
 def test_an_engine_wide_entropy_fault_flags_every_node():

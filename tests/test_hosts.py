@@ -3,7 +3,9 @@ levels that this host can stand in for.
 
 Each setting runs in its own interpreter, since numpy and OpenBLAS read
 them once at import.  Bytes may differ between settings; values agree
-within ``Tolerances.analytic``.
+within ``Tolerances.analytic``.  Within each setting, the grouped 2x2
+products of ``matmul_2x2`` have the bits of numpy's stacked product, which
+every output of the package relies on.
 """
 
 import json
@@ -27,12 +29,19 @@ SETTINGS = {
     "numpy-x86-v2": {"NPY_ENABLE_CPU_FEATURES": "X86_V2"},
 }
 
-# writes sweep.csv and summary.json of a 17x17 sweep, and run's stdout as
-# run.txt, into the directory given as its argument
+# checks qmeter's grouped 2x2 products against numpy's stacked ones bit for
+# bit, then writes sweep.csv and summary.json of a 17x17 sweep, and run's
+# stdout as run.txt, into the directory given as its argument
 SCRIPT = """
 import contextlib, sys
 from pathlib import Path
+import numpy as np
 from qmeter.cli import main
+from qmeter.qubit_algebra import matmul_2x2
+parts = np.random.default_rng(5).normal(size=(2, 2, 300, 2, 2, 2))
+a, b = parts[..., 0] + 1j * parts[..., 1]
+for left, right in [(a, b), (a[0, 0], b), (a, b[0, 0])]:
+    assert matmul_2x2(left, right).tobytes() == (left @ right).tobytes(), (left.shape, right.shape)
 out = Path(sys.argv[1])
 grid = ["--grid-alpha-points", "17", "--grid-phi-points", "17"]
 with open(out / "run.txt", "w") as fh, contextlib.redirect_stdout(fh):

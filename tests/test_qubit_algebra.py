@@ -3,14 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from qmeter import ValidationError, gibbs_state, hermitian_expm, von_neumann_entropy
-from qmeter.cycle import NODE_BLOCK
+from qmeter import (
+    CycleEngine,
+    EngineParams,
+    ValidationError,
+    cycle,
+    gibbs_state,
+    hermitian_expm,
+    measurement,
+    propagator,
+    qubit_algebra,
+    verification,
+    von_neumann_entropy,
+)
+from qmeter.cycle import NODE_BLOCK, evaluate_samples
+from qmeter.propagator import _drive_step_factors
 from qmeter.qubit_algebra import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
+    _GROUP,
+    _dagger,
     _eigvals,
-    matmul_right,
+    matmul_2x2,
     require_density_matrix,
     unitarity_residual,
 )
@@ -219,7 +234,7 @@ def random_complex(rng, shape):
 def test_matmul_right_gemm_has_the_bits_of_the_stacked_product(rng, size, lead):
     x = random_complex(rng, (*lead, size, 2, 2))
     m = random_complex(rng, (2, 2))
-    assert matmul_right(x, m).tobytes() == (x @ m).tobytes()
+    assert matmul_2x2(x, m).tobytes() == (x @ m).tobytes()
 
 
 @pytest.mark.parametrize("size", [2, 3, NODE_BLOCK + 1])
@@ -228,4 +243,105 @@ def test_matmul_right_keeps_a_stack_of_right_operands_stacked(rng, size):
     # would give a different shape
     x = random_complex(rng, (2, size, 2, 2))
     m = random_complex(rng, (size, 2, 2))
-    assert matmul_right(x, m).tobytes() == (x @ m).tobytes()
+    assert matmul_2x2(x, m).tobytes() == (x @ m).tobytes()
+
+
+def factors(rng, kind, shape):
+    """Complex 2x2 matrices of shape ``shape``, of one kind: random entries,
+    drive steps (unitary), entries from 1e-300 to 1e300, or random entries of
+    which about half are exact zeros of either sign."""
+    count = math.prod(shape[:-2])
+    if kind == "drive":
+        return _drive_step_factors(rng.uniform(0.01, 30.0), count, 0, count)[1].reshape(shape)
+    x = random_complex(rng, shape)
+    if kind == "magnitudes":
+        x *= 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    elif kind == "zeros":
+        parts = x.view(float)
+        parts[rng.random(parts.shape) < 0.25] = 0.0
+        parts[rng.random(parts.shape) < 0.25] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", ["random", "drive", "magnitudes", "zeros"])
+@pytest.mark.parametrize("size", [1, 2, 3, _GROUP - 1, _GROUP, _GROUP + 1, 2 * _GROUP + 1,
+                                  4 * _GROUP - 1, 4 * _GROUP, 4 * _GROUP + 1, NODE_BLOCK - 1,
+                                  NODE_BLOCK, NODE_BLOCK + 1, 2 * NODE_BLOCK])
+def test_matmul_2x2_has_the_bits_of_the_stacked_product(rng, size, kind):
+    # both factors stacked, one shared on the left, one shared on the right;
+    # with and without a leading axis
+    for lead in [(), (2,)]:
+        stack = (*lead, size, 2, 2)
+        for left, right in [(stack, stack), ((2, 2), stack), (stack, (2, 2))]:
+            a, b = factors(rng, kind, left), factors(rng, kind, right)
+            with np.errstate(all="ignore"):  # the magnitudes overflow and underflow
+                got, want = matmul_2x2(a, b), a @ b
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (kind, left, right)
+
+
+def test_matmul_2x2_keeps_the_bits_on_the_views_the_propagator_passes(rng):
+    # the tree's halves are strided views, and the Gram product's left factor
+    # is a conjugate transpose
+    f = factors(rng, "drive", (2, 4 * _GROUP + 6, 2, 2))
+    odd, even = f[..., 1::2, :, :], f[..., 0::2, :, :]
+    assert matmul_2x2(odd, even).tobytes() == (odd @ even).tobytes()
+    assert matmul_2x2(_dagger(f), f).tobytes() == (_dagger(f) @ f).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_right_factor_spoils_its_group_and_a_left_one_its_pair(rng, bad):
+    a, b = random_complex(rng, (2, 2, 4 * _GROUP, 2, 2))  # with a leading axis
+    want = a @ b
+    pair = 5 * _GROUP + 3  # of the second axis: in group 5 of 8
+    group = np.arange(5 * _GROUP, 6 * _GROUP)
+    rest = np.setdiff1d(np.arange(8 * _GROUP), group)
+    with np.errstate(invalid="ignore"):
+        right = b.copy()
+        right.reshape(-1, 2, 2)[pair, 1, 0] = bad
+        got = matmul_2x2(a, right).reshape(-1, 2, 2)
+        # column 0 of every pair of the group meets the bad entry times a zero
+        assert not np.isfinite(got[group, :, 0]).any()
+        assert got[group, :, 1].tobytes() == want.reshape(-1, 2, 2)[group, :, 1].tobytes()
+        assert got[rest].tobytes() == want.reshape(-1, 2, 2)[rest].tobytes()
+        # the stacked product keeps it in its pair
+        assert np.isfinite(np.delete((a @ right).reshape(-1, 2, 2), pair, axis=0)).all()
+
+        left = a.copy()
+        left.reshape(-1, 2, 2)[pair, 0, 1] = bad
+        got = matmul_2x2(left, b).reshape(-1, 2, 2)
+        others = np.delete(np.arange(8 * _GROUP), pair)
+        assert not np.isfinite(got[pair, 0]).any()
+        assert got[others].tobytes() == want.reshape(-1, 2, 2)[others].tobytes()
+
+
+def test_the_package_gives_its_products_finite_right_factors_only(monkeypatch):
+    # the durations, temperatures and angles are checked where they enter, so
+    # every right factor is finite, down to the smallest and up to the
+    # largest durations and at the poles of the measurement axis
+    real = matmul_2x2
+    rights = []
+
+    def checked(a, b):
+        rights.append(np.isfinite(b).all())
+        return real(a, b)
+
+    for module in (qubit_algebra, propagator, measurement, cycle, verification):
+        monkeypatch.setattr(module, "matmul_2x2", checked)
+    alphas, phis = np.meshgrid(np.linspace(0.0, math.pi, 5), np.linspace(0.0, 2 * math.pi, 5))
+    for omega_tau in (1e-300, 0.5, 1e297):
+        engine = CycleEngine(EngineParams(omega_tau, 30.0, steps=3 * _GROUP + 1))
+        engine.evaluate_nodes(alphas, phis)
+    evaluate_samples([1e-300, 0.5, 1e297], [0.0, 1.0, 700.0], [0.0, 1.0, math.pi], [0.0, 3.0, 6.0])
+    verification.suite_measurement_channel(np.random.default_rng(0), samples=4 * _GROUP)
+    assert len(rights) > 20 and all(rights)
+
+    del rights[:]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            EngineParams(bad, 1.0)
+        with pytest.raises(ValidationError):
+            engine.evaluate_nodes([0.5, bad], [0.0, 1.0])
+        with pytest.raises(ValidationError):
+            evaluate_samples([1.0, bad], 1.0, 0.5, 0.5)
+    assert rights == []

@@ -47,7 +47,7 @@ MUTANTS = {
                                      'np.abs((self.s1 - s4) + d_s),\n', ""),
     "refine-rounds-2": ("src/qmeter/sweep.py", "REFINE_ROUNDS = 3", "REFINE_ROUNDS = 2"),
     "no-newton-schulz": ("src/qmeter/propagator.py",
-                         "        factors = 0.5 * (3.0 * factors - factors @ gram)\n", ""),
+                         "        factors = 0.5 * (3.0 * factors - matmul_2x2(factors, gram))\n", ""),
     "csv-16-digits": ("src/qmeter/cli.py", 'return "%.17g" % value', 'return "%.16g" % value'),
     # the CSV formatter rounding ties up, not to even
     "csv-half-up": ("src/qmeter/cli.py", "up = t >> 1 & 1 | (lo << (65 - r) != 0)", "up = 1"),
@@ -100,6 +100,17 @@ MUTANTS = {
     "split-child-half-dropped": ("src/qmeter/cycle.py", "            receive(out, cut)\n", ""),
     # a split from the first block, so that every table forks
     "split-from-one-block": ("src/qmeter/cycle.py", "SPLIT_BLOCKS = 4", "SPLIT_BLOCKS = 1"),
+    # the grouped 2x2 product with each left factor on the next pair's diagonal block
+    "grouped-diagonal-shifted": ("src/qmeter/qubit_algebra.py",
+                                 "a[:full].reshape(groups, _GROUP, 2, 2)",
+                                 "np.roll(a[:full], 1, axis=0).reshape(groups, _GROUP, 2, 2)"),
+    # the pairs after the last whole group never multiplied
+    "grouped-tail-dropped": ("src/qmeter/qubit_algebra.py",
+                             "    np.matmul(a[full:], b[full:], out=out[full:])\n", ""),
+    # each group multiplied by the right factors of the group before it
+    "grouped-right-from-neighbour": ("src/qmeter/qubit_algebra.py",
+                                     "b[:full].reshape(groups, 2 * _GROUP, 2)",
+                                     "np.roll(b[:full].reshape(groups, 2 * _GROUP, 2), 1, axis=0)"),
     "efficiency-scale-floor-1e-3": ("src/qmeter/cycle.py",
                                     "np.abs(dp1 - dp4), 1e-300)\n             + (np.abs(dp2) + "
                                     "np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-300)",
