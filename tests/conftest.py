@@ -122,6 +122,33 @@ def bloch_cycle(u: np.ndarray, v: np.ndarray, alpha: float, phi: float,
     return {"w1": w1, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w1 + w2, "d_s": d_s}
 
 
+def bloch_grid(u: np.ndarray, v: np.ndarray, alphas, phis,
+               beta_hbar_omega: float) -> dict[str, np.ndarray]:
+    """``bloch_cycle`` at every node ``(alphas[k], phis[k])`` at once, on real
+    3-vectors with one row per node; the same keys, as arrays."""
+    alphas, phis = np.asarray(alphas, dtype=float), np.asarray(phis, dtype=float)
+    t0 = math.tanh(0.5 * beta_hbar_omega)
+    r1 = np.array([0.0, 0.0, -t0])
+    r2 = bloch_rotation(u) @ r1
+    n = np.stack([np.sin(alphas) * np.cos(phis), np.sin(alphas) * np.sin(phis), np.cos(alphas)],
+                 axis=-1)
+    overlap = n @ r2
+    r3 = overlap[..., None] * n
+    r4 = r3 @ bloch_rotation(v).T
+
+    def entropy(p):  # binary_entropy of each entry
+        q = np.stack([p, 1.0 - p])
+        return -np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0).sum(axis=0)
+
+    w1 = np.full(alphas.shape, 0.5 * (r2[0] - r1[2]))
+    q_m = 0.5 * (r3[..., 0] - r2[0])
+    w2 = 0.5 * (r4[..., 2] - r3[..., 0])
+    q_t = 0.5 * (r1[2] - r4[..., 2])
+    d_s = (entropy(0.5 * (1.0 + np.abs(overlap)))
+           - entropy(np.full(alphas.shape, 0.5 * (1.0 + float(np.linalg.norm(r2))))))
+    return {"w1": w1, "w2": w2, "q_m": q_m, "q_t": q_t, "w": w1 + w2, "d_s": d_s}
+
+
 def pytest_configure(config):
     """Property tests draw the same examples on every run and keep no
     example database, so a test run is reproducible and leaves no files.

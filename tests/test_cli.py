@@ -10,18 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeter.cli import (
-    BETA_TOKEN,
-    CSV_HEADER,
-    RunConfig,
-    build_parser,
-    csv_lines,
-    fmt,
-    main,
-    parse_config_file,
-    write_rows_csv,
-)
-from qmeter.cycle import NODE_BLOCK
+from qmeter.blocks import NODE_BLOCK
+from qmeter.cli import BETA_TOKEN, RunConfig, build_parser, main, parse_config_file
+from qmeter.csvfmt import CSV_HEADER, csv_lines, fmt, write_rows_csv
 from qmeter.propagator import MAX_STEPS
 
 from conftest import DEFAULT_OMEGA_TAU

@@ -23,7 +23,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeter.cli import BETA_TOKEN, CSV_HEADER, SLICE_HEADER, main
+from qmeter.cli import BETA_TOKEN, main
+from qmeter.csvfmt import CSV_HEADER, SLICE_HEADER
 
 taus = st.one_of(st.sampled_from([1e-300, 1e300]),
                  st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import CycleEngine, EngineParams, time_ordered_propagator
-from qmeter.cycle import NODE_BLOCK, ROW_DTYPE, evaluate_samples
+from qmeter.blocks import NODE_BLOCK
+from qmeter.cycle import ROW_DTYPE, evaluate_samples
 from qmeter.propagator import (
     STEP_CHUNK,
     _drive_step_factors,

@@ -16,7 +16,8 @@ from qmeter import (
     verification,
     von_neumann_entropy,
 )
-from qmeter.cycle import NODE_BLOCK, evaluate_samples
+from qmeter.blocks import NODE_BLOCK
+from qmeter.cycle import evaluate_samples
 from qmeter.propagator import _drive_step_factors
 from qmeter.qubit_algebra import (
     IDENTITY,

@@ -14,9 +14,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeter.cli import CSV_FIELDS, main, write_rows_csv
-from qmeter import cli, cycle
-from qmeter.cycle import NODE_BLOCK, SPLIT_BLOCKS, CycleEngine, usable_cpus
+from qmeter import blocks, csvfmt, cycle
+from qmeter.blocks import NODE_BLOCK, SPLIT_BLOCKS, usable_cpus
+from qmeter.cli import main
+from qmeter.csvfmt import CSV_FIELDS, write_rows_csv
+from qmeter.cycle import CycleEngine
 from qmeter.errors import ValidationError
 from qmeter.verification import suite_symmetry
 
@@ -38,7 +40,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cycle, "usable_cpus", functools.partial(usable_cpus, cgroups=os.devnull))
+    monkeypatch.setattr(blocks, "usable_cpus", functools.partial(usable_cpus, cgroups=os.devnull))
     return calls
 
 
@@ -110,7 +112,7 @@ def test_the_split_starts_at_split_blocks(default_table, forks, monkeypatch, tmp
     """A node batch and a CSV of ``SPLIT_BLOCKS`` blocks, the last one
     partial or full, both split at the same row; one block fewer splits
     neither."""
-    cuts, real_split = [], cycle.split_blocks
+    cuts, real_split = [], blocks.split_blocks
 
     def recording_split(size, work, receive):
         def recording_receive(out, cut):
@@ -119,7 +121,7 @@ def test_the_split_starts_at_split_blocks(default_table, forks, monkeypatch, tmp
         real_split(size, work, recording_receive)
 
     monkeypatch.setattr(cycle, "split_blocks", recording_split)
-    monkeypatch.setattr(cli, "split_blocks", recording_split)
+    monkeypatch.setattr(csvfmt, "split_blocks", recording_split)
     path, header = tmp_path / "sweep.csv", "\n".join([",".join(CSV_FIELDS), ""]).encode()
     fewest = (SPLIT_BLOCKS - 1) * NODE_BLOCK + 1
     for size in (fewest - 1, fewest, SPLIT_BLOCKS * NODE_BLOCK):
@@ -236,7 +238,7 @@ def guarded(request, forks, monkeypatch, tmp_path_factory):
     if request.param == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     if request.param == "cpu quota":  # as under docker --cpus=1.5
-        monkeypatch.setattr(cycle, "usable_cpus", cgroups(
+        monkeypatch.setattr(blocks, "usable_cpus", cgroups(
             tmp_path_factory.mktemp("cgroup"), ["0::/"], {"cpu.max": "150000 100000"}))
     if request.param == "no fork":  # as when no process id is free
         monkeypatch.setattr(os, "fork", refuse)

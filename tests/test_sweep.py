@@ -19,7 +19,7 @@ from qmeter import (
 from qmeter.propagator import time_ordered_propagator
 from qmeter.sweep import _partner_indices
 
-from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, default_params
+from conftest import DEFAULT_OMEGA_TAU, bloch_cycle, bloch_grid, default_params
 
 TWO_PI = 2 * math.pi
 
@@ -305,6 +305,34 @@ def test_eta_peak_sits_in_low_entropy_region(default_table, default_engine):
     i = np.nanargmax(np.where(defined, eta, np.nan))
     ds_decile = np.quantile(rows["ds"], 0.1)
     assert rows["ds"][i] <= ds_decile
+
+
+def test_the_default_table_matches_the_bloch_oracle_at_every_node(default_table):
+    rows, engine = default_table.rows, default_table.engine
+    oracle = bloch_grid(engine.u, engine.v, rows["alpha"], rows["phi"],
+                        engine.params.beta_hbar_omega)
+    assert np.abs(rows["w_ext"] + oracle["w"]).max() <= TOL.analytic
+    for column, key in (("q_m", "q_m"), ("q_t", "q_t"), ("ds", "d_s")):
+        assert np.abs(rows[column] - oracle[key]).max() <= TOL.analytic, column
+    defined = ~np.isnan(rows["eta"])
+    assert 0 < defined.sum() < rows.size
+    eta = rows["eta"][defined]
+    # cross-multiplied, which stays conditioned where the fuel is small
+    gap = np.abs(eta * oracle["q_m"][defined] + oracle["w"][defined])
+    assert np.all(gap <= TOL.analytic * np.maximum(1.0, np.abs(eta)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
+def test_bloch_grid_is_bloch_cycle_node_by_node(default_engine, rng, beta):
+    u, v = default_engine.u, default_engine.v
+    alphas = np.concatenate([[0.0, math.pi, 0.0], rng.uniform(0.0, math.pi, 5)])
+    phis = np.concatenate([[0.0, 2.0, TWO_PI], rng.uniform(0.0, TWO_PI, 5)])
+    grid = bloch_grid(u, v, alphas, phis, beta)
+    for k, (alpha, phi) in enumerate(zip(alphas.tolist(), phis.tolist())):
+        node = bloch_cycle(u, v, alpha, phi, beta)
+        assert set(grid) == set(node)
+        for key, value in node.items():  # the same arithmetic, up to its rounding
+            assert grid[key][k] == pytest.approx(value, rel=0.0, abs=1e-15), (key, k)
 
 
 def test_slice_profile_against_fixed_phi(default_engine):

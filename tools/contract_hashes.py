@@ -20,8 +20,10 @@ the arguments shown in each label:
 The hashes depend on the host's numpy and BLAS build, so compare two trees
 on the same host.  Before the hashes, two lines name the host: the SIMD
 extensions numpy found on the CPU, and the core OpenBLAS chose (``unknown``
-where numpy ships no OpenBLAS that reports it).  Exit status is 1 if a
-command other than ``verify`` does not exit 0.
+where numpy ships no OpenBLAS that reports it).  A third line gives the
+line count of each module of the hashed package and their total, counted
+as ``wc -l`` does.  Exit status is 1 if a command other than ``verify``
+does not exit 0.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def host_fingerprint() -> list[str]:
         break
     simd = " ".join(name for name, found in __cpu_features__.items() if found)
     return [f"simd: {simd}", f"openblas core: {core}"]
+
+
+def line_counts(package: Path) -> str:
+    """One line: the lines of each module of ``package``, then their total."""
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(package.glob("*.py"))}
+    return " ".join(["lines:", *(f"{name} {n}" for name, n in counts.items()),
+                     f"total {sum(counts.values())}"])
 
 
 def main() -> int:
@@ -102,6 +111,7 @@ def main() -> int:
             os.chdir(cwd)
     for line in host_fingerprint():
         print(line)
+    print(line_counts(Path(qmeter.__file__).parent))
     for digest, label in hashes:
         print(f"{digest}  {label}")
     for failure in failures:

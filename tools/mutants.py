@@ -48,20 +48,20 @@ MUTANTS = {
     "refine-rounds-2": ("src/qmeter/sweep.py", "REFINE_ROUNDS = 3", "REFINE_ROUNDS = 2"),
     "no-newton-schulz": ("src/qmeter/propagator.py",
                          "        factors = 0.5 * (3.0 * factors - matmul_2x2(factors, gram))\n", ""),
-    "csv-16-digits": ("src/qmeter/cli.py", 'return "%.17g" % value', 'return "%.16g" % value'),
+    "csv-16-digits": ("src/qmeter/csvfmt.py", 'return "%.17g" % value', 'return "%.16g" % value'),
     # the CSV formatter rounding ties up, not to even
-    "csv-half-up": ("src/qmeter/cli.py", "up = t >> 1 & 1 | (lo << (65 - r) != 0)", "up = 1"),
+    "csv-half-up": ("src/qmeter/csvfmt.py", "up = t >> 1 & 1 | (lo << (65 - r) != 0)", "up = 1"),
     # the decimal exponent kept where the table puts it one too high
-    "csv-no-k-correction": ("src/qmeter/cli.py", "        k[redo] -= 1\n", ""),
+    "csv-no-k-correction": ("src/qmeter/csvfmt.py", "        k[redo] -= 1\n", ""),
     # fixed notation from k = -5 (C's %g switches at -4)
-    "csv-fixed-from-minus-5": ("src/qmeter/cli.py",
+    "csv-fixed-from-minus-5": ("src/qmeter/csvfmt.py",
                                "(ks >= -4) & (ks < 17)", "(ks >= -5) & (ks < 17)"),
     # the integer window one binade wider at the small end: s = 28, r up to 63
-    "csv-window-wider": ("src/qmeter/cli.py",
+    "csv-window-wider": ("src/qmeter/csvfmt.py",
                          "(decade >= -11) & (decade <= 15) & (r >= 2) & (r + 1 <= 62)",
                          "(decade >= -12) & (decade <= 15) & (r >= 2) & (r + 1 <= 63)"),
     # no point among the digits of a fixed-notation value of 10 or more
-    "csv-no-point-insert": ("src/qmeter/cli.py", "    if moved.size:", "    if False:"),
+    "csv-no-point-insert": ("src/qmeter/csvfmt.py", "    if moved.size:", "    if False:"),
     # a check renamed where the kernel computes it, and not in the registry
     "kernel-check-renamed": ("src/qmeter/cycle.py", '"kelvin": q_t,', '"kelvin_statement": q_t,'),
     # a check no longer reported by its verify suite
@@ -97,9 +97,9 @@ MUTANTS = {
     "entropy-12-zero": ("src/qmeter/cycle.py", '"entropy_12": abs(self.s1 - self.s2),',
                         '"entropy_12": 0.0 * abs(self.s1 - self.s2),'),
     # the child's half of a split never taken in
-    "split-child-half-dropped": ("src/qmeter/cycle.py", "            receive(out, cut)\n", ""),
+    "split-child-half-dropped": ("src/qmeter/blocks.py", "            receive(out, cut)\n", ""),
     # a split from the first block, so that every table forks
-    "split-from-one-block": ("src/qmeter/cycle.py", "SPLIT_BLOCKS = 4", "SPLIT_BLOCKS = 1"),
+    "split-from-one-block": ("src/qmeter/blocks.py", "SPLIT_BLOCKS = 4", "SPLIT_BLOCKS = 1"),
     # the grouped 2x2 product with each left factor on the next pair's diagonal block
     "grouped-diagonal-shifted": ("src/qmeter/qubit_algebra.py",
                                  "a[:full].reshape(groups, _GROUP, 2, 2)",
