@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -45,46 +44,45 @@ SEED_ENV_VAR = "QMETER_SEED"
 
 BETA_TOKEN = "inverse_hbar_omega"
 
-# the options shared by every command; each is also a config file key
-CONFIG_KEYS = ("hbar_omega_pev", "tau_us", "beta", "alpha_rad", "phi_rad", "steps",
-               "grid.alpha_points", "grid.phi_points", "seed")
+
+def _coerce_beta(text: str) -> str | float:
+    if text == BETA_TOKEN:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}") from None
 
 
-@dataclass
-class RunConfig:
-    hbar_omega_pev: float = 1.0
-    tau_us: float = 10.0
-    beta: str | float = BETA_TOKEN
-    alpha_rad: float | None = None
-    phi_rad: float | None = None
-    steps: int = 1024
-    grid_alpha_points: int = 257
-    grid_phi_points: int = 257
-    seed: int = DEFAULT_SEED
+# the options every command shares, also the config file keys: type, default, help
+OPTIONS = {
+    "hbar_omega_pev": (float, 1.0, None),
+    "tau_us": (float, 10.0, None),
+    "beta": (_coerce_beta, BETA_TOKEN, f"inverse temperature in 1/peV, or {BETA_TOKEN!r}"),
+    "alpha_rad": (float, None, None),
+    "phi_rad": (float, None, None),
+    "steps": (int, EngineParams.steps, None),
+    "grid.alpha_points": (int, GridSpec.alpha_points, None),
+    "grid.phi_points": (int, GridSpec.phi_points, None),
+    "seed": (int, None, f"RNG seed (alternative: ${SEED_ENV_VAR})"),
+}
 
-    def validate(self) -> None:
-        # EngineParams checks the duration and temperature; the gap is checked
-        # here, as a negative one would make a negative tau a positive omega_tau
-        if not (math.isfinite(self.hbar_omega_pev) and self.hbar_omega_pev > 0):
-            raise ConfigurationError("hbar_omega_pev must be positive")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
 
-    def omega_tau(self) -> float:
-        omega = self.hbar_omega_pev * 1e-12 / HBAR_EV_S  # rad/s
-        return omega * self.tau_us * 1e-6
+def omega_tau(args: argparse.Namespace) -> float:
+    omega = args.hbar_omega_pev * 1e-12 / HBAR_EV_S  # rad/s
+    return omega * args.tau_us * 1e-6
 
-    def beta_hbar_omega(self) -> float:
-        if isinstance(self.beta, str):
-            return 1.0
-        return self.beta * self.hbar_omega_pev
 
-    def engine_params(self) -> EngineParams:
-        return EngineParams(
-            omega_tau=self.omega_tau(),
-            beta_hbar_omega=self.beta_hbar_omega(),
-            steps=self.steps,
-        )
+def beta_hbar_omega(args: argparse.Namespace) -> float:
+    if isinstance(args.beta, str):
+        return 1.0
+    return args.beta * args.hbar_omega_pev
+
+
+def engine_params(args: argparse.Namespace) -> EngineParams:
+    return EngineParams(omega_tau=omega_tau(args), beta_hbar_omega=beta_hbar_omega(args),
+                        steps=args.steps)
 
 
 def _flag(key: str) -> str:
@@ -102,37 +100,28 @@ def parse_config_file(path: str | Path) -> list[str]:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         # the '=' form keeps a value such as -1e-3 from reading as a flag
         tokens.append(f"{_flag(key)}={value}")
     return tokens
 
 
-def _coerce_beta(text: str) -> str | float:
-    if text == BETA_TOKEN:
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}") from None
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then flags; seed falls back to the env var."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if "seed" not in given and env_seed is not None:
+def build_config(args: argparse.Namespace) -> None:
+    """Fill in a seed not given from the env var, else DEFAULT_SEED; check gap and seed."""
+    if args.seed is None:
+        env_seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
-            given["seed"] = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError:
             raise ConfigurationError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-            ) from None
-    config = RunConfig(**given)
-    config.validate()
-    return config
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+    # EngineParams checks the duration and temperature; the gap is checked
+    # here, as a negative one would make a negative tau a positive omega_tau
+    if not (math.isfinite(args.hbar_omega_pev) and args.hbar_omega_pev > 0):
+        raise ConfigurationError("hbar_omega_pev must be positive")
+    if args.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
 
 
 def write_table_csv(table: SweepTable, path: Path) -> None:
@@ -157,11 +146,10 @@ def _record_pairs(record) -> list[tuple[str, str]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    if config.alpha_rad is None or config.phi_rad is None:
+    if args.alpha_rad is None or args.phi_rad is None:
         raise ConfigurationError("run requires alpha_rad and phi_rad")
-    record, violations = CycleEngine(config.engine_params()).evaluate_flagged(
-        config.alpha_rad, config.phi_rad)
+    record, violations = CycleEngine(engine_params(args)).evaluate_flagged(
+        args.alpha_rad, args.phi_rad)
     if violations:
         raise InvariantViolation(
             "cycle invariants violated: " + ", ".join(sorted(violations)), violations)
@@ -183,19 +171,19 @@ def _parse_objectives(raw: str) -> list[Objective]:
         raise ConfigurationError(f"objectives must be among: {valid}") from None
 
 
-def _sweep_summary(config: RunConfig, params: EngineParams, table: SweepTable,
+def _sweep_summary(args: argparse.Namespace, params: EngineParams, table: SweepTable,
                    objectives: list[Objective]) -> dict[str, object]:
     """``summary.json`` of a sweep: its inputs, flagged rows, extrema and symmetry residual."""
     summary: dict[str, object] = {
         "params": {
-            "hbar_omega_pev": config.hbar_omega_pev,
-            "tau_us": config.tau_us,
-            "beta": config.beta,
+            "hbar_omega_pev": args.hbar_omega_pev,
+            "tau_us": args.tau_us,
+            "beta": args.beta,
             "omega_tau": params.omega_tau,
             "beta_hbar_omega": params.beta_hbar_omega,
-            "steps": config.steps,
-            "grid_alpha_points": config.grid_alpha_points,
-            "grid_phi_points": config.grid_phi_points,
+            "steps": args.steps,
+            "grid_alpha_points": args.grid_alpha_points,
+            "grid_phi_points": args.grid_phi_points,
         },
         "flagged_rows": table.flagged,
     }
@@ -214,15 +202,14 @@ def _sweep_summary(config: RunConfig, params: EngineParams, table: SweepTable,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = build_config(args)
     objectives = _parse_objectives(args.objectives)
-    params = config.engine_params()
-    grid = GridSpec(alpha_points=config.grid_alpha_points, phi_points=config.grid_phi_points)
+    params = engine_params(args)
+    grid = GridSpec(alpha_points=args.grid_alpha_points, phi_points=args.grid_phi_points)
     _partner_indices(grid)  # the symmetry residual needs an odd phi count
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = grid_sweep(CycleEngine(params), grid)
-    summary = _sweep_summary(config, params, table, objectives)
+    summary = _sweep_summary(args, params, table, objectives)
 
     csv_path = out_dir / "sweep.csv"
     summary_path = out_dir / "summary.json"
@@ -234,13 +221,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    config = build_config(args)
     if (args.fixed_alpha is None) == (args.fixed_phi is None):
         raise ConfigurationError("give exactly one of --fixed-alpha / --fixed-phi")
     fixed = "alpha" if args.fixed_alpha is not None else "phi"
     value = args.fixed_alpha if fixed == "alpha" else args.fixed_phi
     _slice_nodes(fixed, value, args.points)  # a bad slice fails before the engine build
-    profile = slice_profile(CycleEngine(config.engine_params()), fixed, value, points=args.points)
+    profile = slice_profile(CycleEngine(engine_params(args)), fixed, value, points=args.points)
     path = Path(args.output)
     write_slice_csv(profile, path)
     print(f"wrote {path} ({len(profile)} rows)")
@@ -248,15 +234,14 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = build_config(args)
     results = run_all_suites(
-        config.engine_params(),
-        seed=config.seed,
+        engine_params(args),
+        seed=args.seed,
         samples=args.samples,
-        grid_points=(config.grid_alpha_points, config.grid_phi_points),
+        grid_points=(args.grid_alpha_points, args.grid_phi_points),
         rehermitize=args.inject_fault != "skip-rehermitize",
     )
-    print(f"seed={config.seed}")
+    print(f"seed={args.seed}")
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -278,13 +263,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     # argparse takes only forms like -1 and -.5 as numbers; -1e-3 would read as a flag
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("--config", help="key=value configuration file")
-    helps = {"beta": f"inverse temperature in 1/peV, or {BETA_TOKEN!r}",
-             "seed": f"RNG seed (alternative: ${SEED_ENV_VAR})"}
-    # an option not given stays out of the namespace: the defaults live in RunConfig
-    for key in CONFIG_KEYS:
-        kind = int if key in ("steps", "seed") or key.startswith("grid.") else float
-        parser.add_argument(_flag(key), dest=key.replace(".", "_"), default=argparse.SUPPRESS,
-                            type=_coerce_beta if key == "beta" else kind, help=helps.get(key))
+    for key, (kind, default, text) in OPTIONS.items():  # dest: the flag's name in snake case
+        parser.add_argument(_flag(key), type=kind, default=default, help=text)
 
 
 def build_parser() -> _Parser:
@@ -339,6 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args = parser.parse_args([argv[0], *tokens, *argv[1:]])
             except ConfigurationError as exc:  # argv alone parsed, so the file is at fault
                 raise ConfigurationError(f"{args.config}: {exc}") from None
+        build_config(args)
         return args.func(args)
     # ValueError covers the package's own errors and sizes past numpy's index
     # range; sizes too large to allocate and unusable paths are errors too

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeter.blocks import NODE_BLOCK
-from qmeter.cli import BETA_TOKEN, RunConfig, build_parser, main, parse_config_file
+from qmeter.cli import (
+    BETA_TOKEN,
+    beta_hbar_omega,
+    build_parser,
+    main,
+    omega_tau,
+    parse_config_file,
+)
 from qmeter.csvfmt import CSV_HEADER, csv_lines, fmt, write_rows_csv
 from qmeter.propagator import MAX_STEPS
 
@@ -30,15 +37,15 @@ def parse_record(out):
 
 
 def test_unit_conversion_matches_stated_constant():
-    config = RunConfig()
-    assert config.omega_tau() == pytest.approx(0.015193, abs=1e-6)
-    assert config.omega_tau() == pytest.approx(DEFAULT_OMEGA_TAU, abs=1e-15)
-    assert config.beta_hbar_omega() == 1.0
+    defaults = build_parser().parse_args(["run"])
+    assert omega_tau(defaults) == pytest.approx(0.015193, abs=1e-6)
+    assert omega_tau(defaults) == pytest.approx(DEFAULT_OMEGA_TAU, abs=1e-15)
+    assert beta_hbar_omega(defaults) == 1.0
 
 
 def test_beta_explicit_value_scales_with_gap():
-    config = RunConfig(hbar_omega_pev=2.0, beta=0.75)
-    assert config.beta_hbar_omega() == 1.5
+    args = build_parser().parse_args(["run", "--hbar-omega-pev", "2", "--beta", "0.75"])
+    assert beta_hbar_omega(args) == 1.5
 
 
 def test_run_commuting_point(capsys):
@@ -562,6 +569,29 @@ def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, source):
     assert rc == 1
     assert "seed must be >= 0" in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("args, env_seed, message", [
+    (["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--config", "{cfg}"], None,
+     "engine.cfg:2: expected key=value, got 'tau_us 3'"),
+    (["verify", "--samples", "5"], "abc", "QMETER_SEED must be an integer, got 'abc'"),
+    (["sweep", "--objectives", ",", "--output", "{out}"], None, "no objectives given"),
+    (["sweep", "--objectives", "bogus", "--output", "{out}"], None,
+     "objectives must be among: max_w_ext"),
+], ids=["config-line-without-equals", "seed-env-not-an-integer", "objectives-empty",
+        "objectives-unknown"])
+def test_input_errors_exit_1_with_their_message(tmp_path, capsys, monkeypatch, args, env_seed,
+                                                message):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("steps = 256\ntau_us 3\n")
+    if env_seed is None:
+        monkeypatch.delenv("QMETER_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QMETER_SEED", env_seed)
+    rc, out, err = run_cli([arg.format(cfg=cfg, out=tmp_path / "out") for arg in args], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_record_keys_and_csv_row(tmp_path, capsys):

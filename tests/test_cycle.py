@@ -113,6 +113,11 @@ def test_transition_probs_rejects_non_unitary():
         transition_probabilities(2.0 * IDENTITY, IDENTITY, basis_kets(1.0, 1.0))
 
 
+def test_evaluate_samples_needs_a_sample():
+    with pytest.raises(ValidationError, match="^evaluate_samples needs at least one sample$"):
+        evaluate_samples([], [], [], [])
+
+
 @pytest.mark.parametrize("bad", ["u", "v"])
 def test_the_engine_checks_a_propagator_pair_handed_to_it(bad):
     pair = (2 * IDENTITY, IDENTITY) if bad == "u" else (IDENTITY, 2 * IDENTITY)

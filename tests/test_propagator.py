@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qmeter.propagator
+from qmeter import DEFAULT_TOLERANCES as TOL
 from qmeter import ConfigurationError, Segment, ValidationError
 from qmeter import convergence_order, hermitian_expm, time_ordered_propagator
 from qmeter.propagator import (
@@ -250,6 +251,22 @@ def test_second_stroke_is_transpose_of_first(omega_tau):
     # opposite order, which ties the propagators by transposition
     u, v = time_ordered_propagator(omega_tau, 4096)
     assert np.abs(v - u.T).max() <= 1e-12
+
+
+@given(st.one_of(st.sampled_from([1e-3, 1.52e4]), st.floats(-3.0, math.log10(1.52e4)).map(
+    lambda e: 10.0 ** e)), st.one_of(st.sampled_from([2, 65536]), st.integers(2, 65536)))
+def test_midpoint_second_stroke_is_the_transpose_over_the_domain(omega_tau, steps):
+    # the midpoint V is built on its own, so the tie holds up to its rounding
+    u, v = time_ordered_propagator(omega_tau, steps)
+    assert np.abs(v - u.T).max() <= TOL.unitarity
+
+
+@given(st.one_of(st.floats(1e-6, 1e6), st.sampled_from([5e-324, 1e-300, 1e300])))
+def test_exact_second_stroke_is_the_transpose_bit_for_bit(omega_tau):
+    u, v = exact_drive_propagators([omega_tau])[0]
+    assert v.tobytes() == np.ascontiguousarray(u.T).tobytes()
+    assert closed_form_v(omega_tau).tobytes() == np.ascontiguousarray(
+        closed_form_u(omega_tau).T).tobytes()
 
 
 @given(st.one_of(st.floats(1e-6, 1e6), st.sampled_from([1e-300, 1e300])))

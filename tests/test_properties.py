@@ -23,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmeter import DEFAULT_TOLERANCES as TOL
-from qmeter import CycleEngine, EngineParams, time_ordered_propagator
+from qmeter import CycleEngine, EngineParams, GridSpec, grid_sweep, time_ordered_propagator
 from qmeter.blocks import NODE_BLOCK
 from qmeter.cycle import ROW_DTYPE, evaluate_samples
 from qmeter.propagator import (
@@ -33,7 +33,7 @@ from qmeter.propagator import (
     exact_drive_propagators,
 )
 
-from conftest import bloch_cycle, closed_form_u, closed_form_v
+from conftest import bloch_cycle, bloch_grid, closed_form_u, closed_form_v
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,6 +96,25 @@ def test_evaluate_nodes_agrees_with_bloch_oracle(engine_params, batch):
             assert abs(row["eta"] * o["q_m"] + o["w"]) <= TOL.analytic * max(1.0, abs(row["eta"]))
         else:
             assert math.isnan(row["eta"])
+
+
+@given(engines)
+def test_a_grid_sweep_agrees_with_the_bloch_oracle_at_every_node(engine_params):
+    omega_tau, beta = engine_params
+    engine = oracle_engine(omega_tau, beta)
+    table = grid_sweep(engine, GridSpec(alpha_points=33, phi_points=33))
+    rows = table.rows
+    assert table.flagged == 0
+    oracle = bloch_grid(engine.u, engine.v, rows["alpha"], rows["phi"], beta)
+    assert np.abs(rows["w_ext"] + oracle["w"]).max() <= TOL.analytic
+    for column, key in (("q_m", "q_m"), ("q_t", "q_t"), ("ds", "d_s")):
+        assert np.abs(rows[column] - oracle[key]).max() <= TOL.analytic, column
+    fueled = rows["q_m"] > TOL.fuel
+    assert np.array_equal(np.isnan(rows["eta"]), ~fueled)
+    eta = rows["eta"][fueled]
+    # cross-multiplied, which stays conditioned where the fuel is small
+    gap = np.abs(eta * oracle["q_m"][fueled] + oracle["w"][fueled])
+    assert np.all(gap <= TOL.analytic * np.maximum(1.0, np.abs(eta)))
 
 
 @given(engines, node_batches())

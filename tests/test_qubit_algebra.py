@@ -28,6 +28,7 @@ from qmeter.qubit_algebra import (
     _eigvals,
     matmul_2x2,
     require_density_matrix,
+    require_unitary,
     unitarity_residual,
 )
 
@@ -75,6 +76,20 @@ def test_expm_half_gap_x_at_pi():
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         hermitian_expm(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+
+def test_expm_rejects_a_non_finite_time():
+    with pytest.raises(ValidationError, match="^t must be finite$"):
+        hermitian_expm(0.5 * SIGMA_Z, math.nan)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.eye(3), r"^U must be a 2x2 matrix, got shape \(3, 3\)$"),
+    (np.array([[1.0, 0.0], [0.0, math.nan]]), "^U contains non-finite entries$"),
+], ids=["3x3", "nan"])
+def test_require_unitary_rejects_a_malformed_matrix(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        require_unitary(matrix)
 
 
 def test_expm_unitary_over_random_samples(rng):

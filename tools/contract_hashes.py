@@ -15,7 +15,11 @@ the arguments shown in each label:
 * ``run --alpha-rad 1.39 --phi-rad 2.05 --csv``: stdout and the CSV row;
 * ``verify --inject-fault skip-rehermitize``: stdout and exit code;
 * ``verify --seed N`` for N in 0..99 and 400..409: one hash over the stdout
-  and exit code of every seed, in that order.
+  and exit code of every seed, in that order;
+* ``--help`` of the top level and of each command: one hash over the help
+  texts and exit codes, formatted 80 columns wide;
+* ``run --config FILE``, where the file sets every shared option away from
+  its default (``CONFIG``): stdout.
 
 The hashes depend on the host's numpy and BLAS build, so compare two trees
 on the same host.  Before the hashes, two lines name the host: the SIMD
@@ -41,6 +45,16 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
 VERIFY_SEEDS = [*range(100), *range(400, 410)]
+CONFIG = """hbar_omega_pev = 2.5
+tau_us = 3
+beta = 0.7
+alpha_rad = 1.39
+phi_rad = 2.05
+steps = 512
+grid.alpha_points = 9
+grid.phi_points = 17
+seed = 7
+"""
 
 
 def sha256(data: bytes | str) -> str:
@@ -73,6 +87,7 @@ def main() -> int:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     os.environ.pop("QMETER_SEED", None)  # every seed below is explicit or the default
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     import qmeter
     from qmeter.cli import main as cli
 
@@ -81,7 +96,10 @@ def main() -> int:
     def run(*argv: str) -> tuple[int, str]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli(list(argv))
+            try:
+                code = cli(list(argv))
+            except SystemExit as exc:  # --help
+                code = exc.code
         return code, out.getvalue()
 
     hashes, failures = [], []
@@ -107,6 +125,16 @@ def main() -> int:
                              for code, out in (run("verify", "--seed", str(seed))
                                                for seed in VERIFY_SEEDS))
             hashes.append((sha256(joined), "verify --seed 0..99, 400..409: stdout, exit codes"))
+            joined = "".join(f"{out}exit {code}\n"
+                             for code, out in (run(*command, "--help") for command in
+                                               ([], ["run"], ["sweep"], ["slice"], ["verify"])))
+            hashes.append((sha256(joined), "--help of qmeter and its four commands: "
+                                           "stdout, exit codes"))
+            Path("qmeter.cfg").write_text(CONFIG)
+            code, out = run("run", "--config", "qmeter.cfg")
+            if code != 0:
+                failures.append(f"run --config exited {code}")
+            hashes.append((sha256(out), "run --config (every shared option set): stdout"))
         finally:
             os.chdir(cwd)
     for line in host_fingerprint():

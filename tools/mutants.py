@@ -111,6 +111,13 @@ MUTANTS = {
     "grouped-right-from-neighbour": ("src/qmeter/qubit_algebra.py",
                                      "b[:full].reshape(groups, 2 * _GROUP, 2)",
                                      "np.roll(b[:full].reshape(groups, 2 * _GROUP, 2), 1, axis=0)"),
+    # the option table's default stroke time changed
+    "option-default-tau": ("src/qmeter/cli.py", '"tau_us": (float, 10.0, None),',
+                           '"tau_us": (float, 1.0, None),'),
+    # a seed not given ignores $QMETER_SEED
+    "option-seed-env-dropped": ("src/qmeter/cli.py",
+                                "os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))",
+                                "str(DEFAULT_SEED)"),
     "efficiency-scale-floor-1e-3": ("src/qmeter/cycle.py",
                                     "np.abs(dp1 - dp4), 1e-300)\n             + (np.abs(dp2) + "
                                     "np.abs(dp3)) / np.maximum(np.abs(dp2 - dp3), 1e-300)",
