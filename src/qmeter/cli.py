@@ -26,6 +26,7 @@ from .csvfmt import CSV_FIELDS, SLICE_FIELDS, fmt, open_output, write_rows_csv
 from .cycle import CycleEngine, EngineParams
 from .errors import ConfigurationError, InvariantViolation
 from .sweep import (
+    SLICE_POINTS,
     GridSpec,
     Objective,
     SweepTable,
@@ -36,7 +37,7 @@ from .sweep import (
     slice_profile,
     symmetry_residual,
 )
-from .verification import run_all_suites
+from .verification import SAMPLES, SYMMETRY_GRID, run_all_suites
 
 HBAR_EV_S = 6.582119569e-16  # reduced Planck constant, eV*s
 DEFAULT_SEED = 20201
@@ -57,14 +58,14 @@ def _coerce_beta(text: str) -> str | float:
 
 # the options every command shares, also the config file keys: type, default, help
 OPTIONS = {
-    "hbar_omega_pev": (float, 1.0, None),
-    "tau_us": (float, 10.0, None),
+    "hbar_omega_pev": (float, 1.0, "energy gap hbar*omega in peV (default: %(default)s)"),
+    "tau_us": (float, 10.0, "stroke duration in microseconds (default: %(default)s)"),
     "beta": (_coerce_beta, BETA_TOKEN, f"inverse temperature in 1/peV, or {BETA_TOKEN!r}"),
-    "alpha_rad": (float, None, None),
-    "phi_rad": (float, None, None),
-    "steps": (int, EngineParams.steps, None),
-    "grid.alpha_points": (int, GridSpec.alpha_points, None),
-    "grid.phi_points": (int, GridSpec.phi_points, None),
+    "alpha_rad": (float, None, "basis polar angle in rad, required by run"),
+    "phi_rad": (float, None, "basis azimuth in rad, required by run"),
+    "steps": (int, EngineParams.steps, "integrator steps per stroke (default: %(default)s)"),
+    "grid.alpha_points": (int, GridSpec.alpha_points, "alpha grid points (default: %(default)s)"),
+    "grid.phi_points": (int, GridSpec.phi_points, "phi grid points, odd (default: %(default)s)"),
     "seed": (int, None, f"RNG seed (alternative: ${SEED_ENV_VAR})"),
 }
 
@@ -234,13 +235,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all_suites(
-        engine_params(args),
-        seed=args.seed,
-        samples=args.samples,
-        grid_points=(args.grid_alpha_points, args.grid_phi_points),
-        rehermitize=args.inject_fault != "skip-rehermitize",
-    )
+    results = run_all_suites(engine_params(args), args.seed, args.samples,
+                             GridSpec(args.grid_alpha_points, args.grid_phi_points),
+                             rehermitize=args.inject_fault != "skip-rehermitize")
     print(f"seed={args.seed}")
     all_passed = True
     for res in results:
@@ -280,23 +277,24 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="scan the (alpha, phi) plane")
     _add_common(p_sweep)
     p_sweep.add_argument("--output", default=".", help="output directory")
-    p_sweep.add_argument("--objectives", default="max_w_ext,max_eta,min_ds")
+    p_sweep.add_argument("--objectives", default=",".join(o.value for o in Objective))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_slice = sub.add_parser("slice", help="1-D profile with one angle fixed")
     _add_common(p_slice)
     p_slice.add_argument("--fixed-alpha", dest="fixed_alpha", type=float)
     p_slice.add_argument("--fixed-phi", dest="fixed_phi", type=float)
-    p_slice.add_argument("--points", type=int, default=513)
+    p_slice.add_argument("--points", type=int, default=SLICE_POINTS)
     p_slice.add_argument("--output", default="slice.csv")
     p_slice.set_defaults(func=cmd_slice)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     _add_common(p_verify)
-    p_verify.add_argument("--samples", type=int, default=2000)
+    p_verify.add_argument("--samples", type=int, default=SAMPLES)
     p_verify.add_argument("--inject-fault", choices=["skip-rehermitize"],
                           help="testing hook: disable a safeguard and expect FAIL")
-    p_verify.set_defaults(func=cmd_verify, grid_alpha_points=129, grid_phi_points=129)
+    p_verify.set_defaults(func=cmd_verify, grid_alpha_points=SYMMETRY_GRID.alpha_points,
+                          grid_phi_points=SYMMETRY_GRID.phi_points)
     return parser
 
 

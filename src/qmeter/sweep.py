@@ -19,6 +19,7 @@ from .tolerances import DEFAULT_TOLERANCES as TOL
 REFINE_ROUNDS = 3
 LOCAL_POINTS = 17
 ZOOM = 10.0
+SLICE_POINTS = 513  # slice_profile's default point count
 
 
 class Objective(enum.Enum):
@@ -165,7 +166,8 @@ def _slice_nodes(fixed: str, value: float, points: int) -> tuple:
     return (value, free) if fixed == "alpha" else (free, value)
 
 
-def slice_profile(engine: CycleEngine, fixed: str, value: float, points: int = 513) -> np.ndarray:
+def slice_profile(engine: CycleEngine, fixed: str, value: float,
+                  points: int = SLICE_POINTS) -> np.ndarray:
     """Freshly evaluated 1-D profile with one angle pinned, as ROW_DTYPE rows.
 
     ``fixed`` is "alpha" or "phi"; the free angle runs over its full range on

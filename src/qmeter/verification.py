@@ -40,6 +40,11 @@ from .qubit_algebra import (
 from .sweep import GridSpec, _partner_indices, grid_sweep, symmetry_residual
 from .tolerances import DEFAULT_TOLERANCES as TOL
 
+# verify's defaults: samples (also unitarity's cap), the channel's cap, the symmetry grid
+SAMPLES = 2000
+CHANNEL_SAMPLES = 400
+SYMMETRY_GRID = GridSpec(129, 129)
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -104,7 +109,7 @@ def suite_convergence(omega_tau: float) -> SuiteResult:
 
 
 def suite_measurement_channel(
-    rng: np.random.Generator, samples: int = 400, rehermitize: bool = True
+    rng: np.random.Generator, samples: int = CHANNEL_SAMPLES, rehermitize: bool = True
 ) -> SuiteResult:
     """Idempotence, trace preservation, entropy non-decrease and exact
     Hermiticity of the dephasing output.
@@ -148,7 +153,7 @@ def _sample_suite(name: str, residuals: np.ndarray, bound: float, samples: int) 
 TABLE_SUITES = ("kelvin", "entropy_equalities", "analytic_vs_oracle", "efficiency_forms")
 
 
-def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list[SuiteResult]:
+def cycle_identity_suites(rng: np.random.Generator, samples: int = SAMPLES) -> list[SuiteResult]:
     """First law, Kelvin, entropy equalities, analytic-vs-trace residuals,
     efficiency forms and bounds, and the 1/zeta + 1/gamma inequality, all on
     one shared random parameter sample, evaluated as one batch.
@@ -180,30 +185,25 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = 2000) -> list
     ]
 
 
-def suite_symmetry(params: EngineParams, alpha_points: int, phi_points: int) -> SuiteResult:
-    table = grid_sweep(CycleEngine(params), GridSpec(alpha_points, phi_points))
+def suite_symmetry(params: EngineParams, grid: GridSpec) -> SuiteResult:
+    table = grid_sweep(CycleEngine(params), grid)
     return _line("symmetry", {"symmetry": (symmetry_residual(table), TOL.symmetry)},
-                 detail=f"{alpha_points}x{phi_points} grid")
+                 detail=f"{grid.alpha_points}x{grid.phi_points} grid")
 
 
-def run_all_suites(
-    params: EngineParams,
-    seed: int,
-    samples: int = 2000,
-    grid_points: tuple[int, int] = (129, 129),
-    rehermitize: bool = True,
-) -> list[SuiteResult]:
+def run_all_suites(params: EngineParams, seed: int, samples: int = SAMPLES,
+                   grid: GridSpec = SYMMETRY_GRID, rehermitize: bool = True) -> list[SuiteResult]:
     if samples < 1:
         raise ConfigurationError("samples must be >= 1")
-    _partner_indices(GridSpec(*grid_points))  # an even phi count fails before any suite
+    _partner_indices(grid)  # an even phi count fails before any suite
     rng = np.random.default_rng(seed)
     results = [
-        suite_unitarity(rng, params.omega_tau, samples=min(samples, 2000)),
+        suite_unitarity(rng, params.omega_tau, samples=min(samples, SAMPLES)),
         suite_propagator_error(params.omega_tau, params.steps),
         suite_convergence(params.omega_tau),
-        suite_measurement_channel(rng, samples=min(samples, 400),
+        suite_measurement_channel(rng, samples=min(samples, CHANNEL_SAMPLES),
                                   rehermitize=rehermitize),
     ]
     results.extend(cycle_identity_suites(rng, samples=samples))
-    results.append(suite_symmetry(params, *grid_points))
+    results.append(suite_symmetry(params, grid))
     return results

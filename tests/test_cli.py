@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -21,6 +22,14 @@ from qmeter.cli import (
 )
 from qmeter.csvfmt import CSV_HEADER, csv_lines, fmt, write_rows_csv
 from qmeter.propagator import MAX_STEPS
+from qmeter.sweep import SLICE_POINTS, GridSpec, Objective, slice_profile
+from qmeter.verification import (
+    CHANNEL_SAMPLES,
+    SAMPLES,
+    SYMMETRY_GRID,
+    run_all_suites,
+    suite_measurement_channel,
+)
 
 from conftest import DEFAULT_OMEGA_TAU
 
@@ -468,6 +477,42 @@ def test_seed_env_var(capsys, monkeypatch):
         "verify", "--samples", "30", "--grid-alpha-points", "9",
         "--grid-phi-points", "9", "--seed", "42"], capsys)
     assert "seed=42" in out
+
+
+def test_each_command_default_is_read_from_its_library_home():
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    parser = build_parser()
+    verify = parser.parse_args(["verify"])
+    assert GridSpec(verify.grid_alpha_points, verify.grid_phi_points) == SYMMETRY_GRID
+    assert default(run_all_suites, "grid") == SYMMETRY_GRID
+    assert verify.samples == SAMPLES == default(run_all_suites, "samples")
+    assert default(suite_measurement_channel, "samples") == CHANNEL_SAMPLES
+    assert parser.parse_args(["slice"]).points == SLICE_POINTS
+    assert default(slice_profile, "points") == SLICE_POINTS
+    objectives = parser.parse_args(["sweep"]).objectives
+    assert [Objective(name) for name in objectives.split(",")] == list(Objective)
+
+
+def test_verify_without_grid_flags_checks_symmetry_on_129x129(capsys):
+    rc, out, _ = run_cli(["verify", "--samples", "60"], capsys)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(" - 129x129 grid")
+
+
+def test_help_gives_units_and_each_command_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    for command, grid in (("sweep", 257), ("verify", 129)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "stroke duration in microseconds (default: 10.0)" in out
+        assert "energy gap hbar*omega in peV (default: 1.0)" in out
+        assert f"alpha grid points (default: {grid})" in out
+        assert f"phi grid points, odd (default: {grid})" in out
+        assert "basis polar angle in rad, required by run" in out
+        assert "(default: None)" not in out
 
 
 def test_parser_covers_all_subcommands():

@@ -20,7 +20,7 @@ from qmeter.cli import main
 from qmeter.csvfmt import CSV_FIELDS, write_rows_csv
 from qmeter.cycle import CycleEngine
 from qmeter.errors import ValidationError
-from qmeter.verification import suite_symmetry
+from qmeter.verification import SYMMETRY_GRID, suite_symmetry
 
 from conftest import default_params
 
@@ -273,7 +273,7 @@ def test_only_the_large_tables_of_the_commands_split(forks, tmp_path, capsys):
                  "--csv", str(tmp_path / "row.csv")]) == 0
     assert main(["slice", "--fixed-phi", "2.53", "--output", str(tmp_path / "slice.csv")]) == 0
     assert forks == []
-    assert suite_symmetry(default_params(), 129, 129).passed  # verify's grid: 17 blocks
+    assert suite_symmetry(default_params(), SYMMETRY_GRID).passed  # verify's grid: 17 blocks
     assert len(forks) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["row.csv", "slice.csv"]
     assert_no_child_left()

@@ -22,6 +22,7 @@ from qmeter.qubit_algebra import (
     unitarity_residual,
     von_neumann_entropy,
 )
+from qmeter.sweep import GridSpec
 from qmeter.verification import (
     _random_hermitians,
     cycle_identity_suites,
@@ -381,7 +382,7 @@ def test_a_fresh_verify_builds_each_distinct_pair_once(fresh_builds):
     # 14 calls for a midpoint pair: the unitarity ladder (2, 7, 64, 1024, 65536), the
     # propagator_error pair (1024), the convergence ladder (8 ... 512) and
     # the symmetry suite's engine (1024); 11 of them are distinct
-    run_all_suites(default_params(), seed=401, samples=20, grid_points=(9, 9))
+    run_all_suites(default_params(), seed=401, samples=20, grid=GridSpec(9, 9))
     info = fresh_builds.cache_info()
     assert (info.misses, info.hits) == (11, 3)
 

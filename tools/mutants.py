@@ -112,8 +112,11 @@ MUTANTS = {
                                      "b[:full].reshape(groups, 2 * _GROUP, 2)",
                                      "np.roll(b[:full].reshape(groups, 2 * _GROUP, 2), 1, axis=0)"),
     # the option table's default stroke time changed
-    "option-default-tau": ("src/qmeter/cli.py", '"tau_us": (float, 10.0, None),',
-                           '"tau_us": (float, 1.0, None),'),
+    "option-default-tau": ("src/qmeter/cli.py", '"tau_us": (float, 10.0, ',
+                           '"tau_us": (float, 1.0, '),
+    # verify's symmetry grid changed where the library defines it
+    "symmetry-grid-65": ("src/qmeter/verification.py", "SYMMETRY_GRID = GridSpec(129, 129)",
+                         "SYMMETRY_GRID = GridSpec(65, 65)"),
     # a seed not given ignores $QMETER_SEED
     "option-seed-env-dropped": ("src/qmeter/cli.py",
                                 "os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))",
