@@ -56,17 +56,20 @@ def _coerce_beta(text: str) -> str | float:
             f"beta must be a number (1/peV) or the token {BETA_TOKEN!r}") from None
 
 
-# the options every command shares, also the config file keys: type, default, help
+# the shared options, also the config file keys: type, default, help, the commands that read them
+ALL = ("run", "sweep", "slice", "verify")
 OPTIONS = {
-    "hbar_omega_pev": (float, 1.0, "energy gap hbar*omega in peV (default: %(default)s)"),
-    "tau_us": (float, 10.0, "stroke duration in microseconds (default: %(default)s)"),
-    "beta": (_coerce_beta, BETA_TOKEN, f"inverse temperature in 1/peV, or {BETA_TOKEN!r}"),
-    "alpha_rad": (float, None, "basis polar angle in rad, required by run"),
-    "phi_rad": (float, None, "basis azimuth in rad, required by run"),
-    "steps": (int, EngineParams.steps, "integrator steps per stroke (default: %(default)s)"),
-    "grid.alpha_points": (int, GridSpec.alpha_points, "alpha grid points (default: %(default)s)"),
-    "grid.phi_points": (int, GridSpec.phi_points, "phi grid points, odd (default: %(default)s)"),
-    "seed": (int, None, f"RNG seed (alternative: ${SEED_ENV_VAR})"),
+    "hbar_omega_pev": (float, 1.0, "energy gap hbar*omega in peV (default: %(default)s)", ALL),
+    "tau_us": (float, 10.0, "stroke duration in microseconds (default: %(default)s)", ALL),
+    "beta": (_coerce_beta, BETA_TOKEN, f"inverse temperature in 1/peV, or {BETA_TOKEN!r}", ALL),
+    "alpha_rad": (float, None, "basis polar angle in rad (required)", ("run",)),
+    "phi_rad": (float, None, "basis azimuth in rad (required)", ("run",)),
+    "steps": (int, EngineParams.steps, "integrator steps per stroke (default: %(default)s)", ALL),
+    "grid.alpha_points": (int, GridSpec.alpha_points, "alpha grid points (default: %(default)s)",
+                          ("sweep", "verify")),
+    "grid.phi_points": (int, GridSpec.phi_points, "phi grid points, odd (default: %(default)s)",
+                        ("sweep", "verify")),
+    "seed": (int, None, f"RNG seed (alternative: ${SEED_ENV_VAR})", ("verify",)),
 }
 
 
@@ -90,9 +93,9 @@ def _flag(key: str) -> str:
     return "--" + key.replace(".", "-").replace("_", "-")
 
 
-def parse_config_file(path: str | Path) -> list[str]:
-    """Flat key=value lines as ``--flag=value`` tokens, which parse exactly
-    like the flags; '#' starts a comment, blank lines are skipped."""
+def parse_config_file(path: str | Path, command: str) -> list[str]:
+    """Flat key=value lines as ``--flag=value`` tokens, which parse exactly like the
+    flags; '#' starts a comment; blank lines and keys ``command`` does not read are skipped."""
     tokens = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,25 +106,25 @@ def parse_config_file(path: str | Path) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in OPTIONS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        # the '=' form keeps a value such as -1e-3 from reading as a flag
-        tokens.append(f"{_flag(key)}={value}")
+        if command in OPTIONS[key][3]:  # '=' keeps a value such as -1e-3 from reading as a flag
+            tokens.append(f"{_flag(key)}={value}")
     return tokens
 
 
 def build_config(args: argparse.Namespace) -> None:
-    """Fill in a seed not given from the env var, else DEFAULT_SEED; check gap and seed."""
-    if args.seed is None:
+    """Check the gap; where a seed is read, fill one not given from the env var or DEFAULT_SEED."""
+    # EngineParams checks the duration and temperature; the gap is checked
+    # here, as a negative one would make a negative tau a positive omega_tau
+    if not (math.isfinite(args.hbar_omega_pev) and args.hbar_omega_pev > 0):
+        raise ConfigurationError("hbar_omega_pev must be positive")
+    if "seed" in args and args.seed is None:
         env_seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
             args.seed = int(env_seed)
         except ValueError:
             raise ConfigurationError(
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-    # EngineParams checks the duration and temperature; the gap is checked
-    # here, as a negative one would make a negative tau a positive omega_tau
-    if not (math.isfinite(args.hbar_omega_pev) and args.hbar_omega_pev > 0):
-        raise ConfigurationError("hbar_omega_pev must be positive")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise ConfigurationError("seed must be >= 0")
 
 
@@ -256,12 +259,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, command: str, func, text: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(command, help=text)
     # argparse takes only forms like -1 and -.5 as numbers; -1e-3 would read as a flag
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("--config", help="key=value configuration file")
-    for key, (kind, default, text) in OPTIONS.items():  # dest: the flag's name in snake case
-        parser.add_argument(_flag(key), type=kind, default=default, help=text)
+    for key, (kind, default, help_text, commands) in OPTIONS.items():
+        if command in commands:  # dest: the flag's name in snake case
+            parser.add_argument(_flag(key), type=kind, default=default, help=help_text)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> _Parser:
@@ -269,31 +276,29 @@ def build_parser() -> _Parser:
                      description="measurement-fueled single-qubit engine simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="evaluate one cycle")
-    _add_common(p_run)
+    p_run = _add_command(sub, "run", cmd_run, "evaluate one cycle")
     p_run.add_argument("--csv", help="also write the record as a one-row CSV")
-    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="scan the (alpha, phi) plane")
-    _add_common(p_sweep)
+    p_sweep = _add_command(sub, "sweep", cmd_sweep, "scan the (alpha, phi) plane")
     p_sweep.add_argument("--output", default=".", help="output directory")
-    p_sweep.add_argument("--objectives", default=",".join(o.value for o in Objective))
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--objectives", default=",".join(o.value for o in Objective),
+                         help="comma-separated extrema to refine (default: %(default)s)")
 
-    p_slice = sub.add_parser("slice", help="1-D profile with one angle fixed")
-    _add_common(p_slice)
-    p_slice.add_argument("--fixed-alpha", dest="fixed_alpha", type=float)
-    p_slice.add_argument("--fixed-phi", dest="fixed_phi", type=float)
-    p_slice.add_argument("--points", type=int, default=SLICE_POINTS)
-    p_slice.add_argument("--output", default="slice.csv")
-    p_slice.set_defaults(func=cmd_slice)
+    p_slice = _add_command(sub, "slice", cmd_slice, "1-D profile with one angle fixed")
+    p_slice.add_argument("--fixed-alpha", type=float,
+                         help="alpha in rad, or --fixed-phi; phi spans [0, 2*pi]")
+    p_slice.add_argument("--fixed-phi", type=float,
+                         help="phi in rad, or --fixed-alpha; alpha spans [0, pi]")
+    p_slice.add_argument("--points", type=int, default=SLICE_POINTS,
+                         help="points of the free angle (default: %(default)s)")
+    p_slice.add_argument("--output", default="slice.csv", help="output CSV (default: %(default)s)")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(p_verify)
-    p_verify.add_argument("--samples", type=int, default=SAMPLES)
+    p_verify = _add_command(sub, "verify", cmd_verify, "run the invariant suites")
+    p_verify.add_argument("--samples", type=int, default=SAMPLES,
+                          help="random samples per suite (default: %(default)s)")
     p_verify.add_argument("--inject-fault", choices=["skip-rehermitize"],
                           help="testing hook: disable a safeguard and expect FAIL")
-    p_verify.set_defaults(func=cmd_verify, grid_alpha_points=SYMMETRY_GRID.alpha_points,
+    p_verify.set_defaults(grid_alpha_points=SYMMETRY_GRID.alpha_points,
                           grid_phi_points=SYMMETRY_GRID.phi_points)
     return parser
 
@@ -312,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # file tokens right after the command, so the flags come later and win
-            tokens = parse_config_file(args.config)
+            tokens = parse_config_file(args.config, args.command)
             try:
                 args = parser.parse_args([argv[0], *tokens, *argv[1:]])
             except ConfigurationError as exc:  # argv alone parsed, so the file is at fault

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -15,12 +16,14 @@ from qmeter.blocks import NODE_BLOCK
 from qmeter.cli import (
     BETA_TOKEN,
     beta_hbar_omega,
+    build_config,
     build_parser,
     main,
     omega_tau,
     parse_config_file,
 )
 from qmeter.csvfmt import CSV_HEADER, csv_lines, fmt, write_rows_csv
+from qmeter.errors import ConfigurationError
 from qmeter.propagator import MAX_STEPS
 from qmeter.sweep import SLICE_POINTS, GridSpec, Objective, slice_profile
 from qmeter.verification import (
@@ -142,8 +145,8 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("omega = 3\n")
-    with pytest.raises(Exception):
-        parse_config_file(cfg)
+    with pytest.raises(ConfigurationError, match="unknown key 'omega'"):
+        parse_config_file(cfg, "run")
 
 
 def test_sweep_writes_csv_and_summary(tmp_path, capsys):
@@ -501,18 +504,132 @@ def test_verify_without_grid_flags_checks_symmetry_on_129x129(capsys):
     assert out.splitlines()[-1].endswith(" - 129x129 grid")
 
 
+def _help(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return capsys.readouterr().out
+
+
 def test_help_gives_units_and_each_command_default(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # one line per option
     for command, grid in (("sweep", 257), ("verify", 129)):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        out = capsys.readouterr().out
+        out = _help(command, capsys)
         assert "stroke duration in microseconds (default: 10.0)" in out
         assert "energy gap hbar*omega in peV (default: 1.0)" in out
         assert f"alpha grid points (default: {grid})" in out
         assert f"phi grid points, odd (default: {grid})" in out
-        assert "basis polar angle in rad, required by run" in out
+        assert "basis polar angle" not in out and "--alpha-rad" not in out
         assert "(default: None)" not in out
+    out = _help("run", capsys)
+    assert "basis polar angle in rad (required)" in out
+    assert "basis azimuth in rad (required)" in out
+    assert "(default: None)" not in out
+    assert f"random samples per suite (default: {SAMPLES})" in _help("verify", capsys)
+    assert f"points of the free angle (default: {SLICE_POINTS})" in _help("slice", capsys)
+    objectives = ",".join(o.value for o in Objective)
+    assert f"(default: {objectives})" in _help("sweep", capsys)
+
+
+def _commands():
+    parser = build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+# small inputs for each command; each reads every option it registers
+READ_ARGVS = {
+    "run": ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--steps", "256"],
+    "sweep": ["sweep", "--grid-alpha-points", "3", "--grid-phi-points", "3", "--steps", "256",
+              "--output", "{tmp}/out"],
+    "slice": ["slice", "--fixed-phi", "1.0", "--points", "5", "--steps", "256",
+              "--output", "{tmp}/slice.csv"],
+    "verify": ["verify", "--samples", "5", "--grid-alpha-points", "5", "--grid-phi-points", "5"],
+}
+
+
+@pytest.mark.parametrize("command", READ_ARGVS)
+def test_each_command_registers_the_options_it_reads(tmp_path, capsys, command):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = _commands()[command]
+    registered = {action.dest for action in parser._actions} - {"help", "config"}
+    argv = [arg.format(tmp=tmp_path) for arg in READ_ARGVS[command]]
+    args = Recording(**vars(build_parser().parse_args(argv)))
+    build_config(args)
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert {name for name in reads if not name.startswith("_")} - {"func"} == registered
+
+
+def test_every_option_of_every_command_has_a_help_text():
+    for command, parser in _commands().items():
+        for action in parser._actions:
+            assert action.help and action.help.strip(), (command, action.option_strings)
+
+
+@pytest.mark.parametrize("args", [
+    ["slice", "--fixed-phi", "1", "--output", "{tmp}/slice.csv", "--grid-alpha-points", "2",
+     "--seed", "5"],
+    ["sweep", "--output", "{tmp}/out", "--phi-rad", "2"],
+    ["verify", "--alpha-rad", "1"],
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--seed", "-1"],
+    ["run", "--alpha-rad", "1.0", "--phi-rad", "2.0", "--grid-phi-points", "4"],
+], ids=["slice-grid-seed", "sweep-angle", "verify-angle", "run-seed", "run-grid"])
+def test_an_option_the_command_does_not_read_is_a_config_error(tmp_path, capsys, args):
+    rc, out, err = run_cli([arg.format(tmp=tmp_path) for arg in args], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_verify_reads_the_seed_env_var(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QMETER_SEED", "abc")
+    rc, _, err = run_cli(["sweep", "--grid-alpha-points", "3", "--grid-phi-points", "3",
+                          "--steps", "256", "--output", str(tmp_path)], capsys)
+    assert rc == 0, err
+    rc, _, err = run_cli(["verify", "--samples", "5"], capsys)
+    assert rc == 1 and "QMETER_SEED must be an integer, got 'abc'" in err
+
+
+# every shared key away from its default; each command skips the keys it does not read
+EVERY_KEY = """hbar_omega_pev = 2.5
+tau_us = 3
+beta = 0.7
+alpha_rad = 1.39
+phi_rad = 2.05
+steps = 512
+grid.alpha_points = 9
+grid.phi_points = 17
+seed = 7
+"""
+
+
+def test_one_config_file_with_every_key_serves_every_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QMETER_SEED", raising=False)
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(EVERY_KEY)
+    config = ["--config", str(cfg)]
+    rc, out, _ = run_cli(["run", *config], capsys)
+    record = parse_record(out)
+    assert rc == 0 and (record["alpha"], record["steps"]) == (fmt(1.39), "512")
+    rc, out, _ = run_cli(["sweep", *config, "--output", str(tmp_path / "out")], capsys)
+    params = json.loads((tmp_path / "out" / "summary.json").read_text())["params"]
+    assert rc == 0 and (params["tau_us"], params["grid_phi_points"]) == (3.0, 17)
+    rc, out, _ = run_cli(["slice", *config, "--fixed-phi", "1", "--points", "5",
+                          "--output", str(tmp_path / "slice.csv")], capsys)
+    assert rc == 0
+    rc, out, _ = run_cli(["verify", *config, "--samples", "30"], capsys)
+    lines = out.splitlines()
+    assert rc == 0 and lines[0] == "seed=7" and lines[-1].endswith(" - 9x17 grid")
+    cfg.write_text(EVERY_KEY + "omega = 3\n")  # an unknown key still fails every command
+    for argv in READ_ARGVS.values():
+        rc, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv] + config, capsys)
+        assert (rc, out, err) == (1, "", f"error: {cfg}:10: unknown key 'omega'\n")
 
 
 def test_parser_covers_all_subcommands():

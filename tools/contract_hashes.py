@@ -18,8 +18,9 @@ the arguments shown in each label:
   and exit code of every seed, in that order;
 * ``--help`` of the top level and of each command: one hash over the help
   texts and exit codes, formatted 80 columns wide;
-* ``run --config FILE``, where the file sets every shared option away from
-  its default (``CONFIG``): stdout.
+* ``run --config FILE``, where the file (``CONFIG``) sets every shared key
+  away from its default: stdout.  ``run`` reads six of the keys and skips the
+  two grid sizes and the seed, as a command skips every key it does not read.
 
 The hashes depend on the host's numpy and BLAS build, so compare two trees
 on the same host.  Before the hashes, two lines name the host: the SIMD

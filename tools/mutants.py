@@ -117,6 +117,13 @@ MUTANTS = {
     # verify's symmetry grid changed where the library defines it
     "symmetry-grid-65": ("src/qmeter/verification.py", "SYMMETRY_GRID = GridSpec(129, 129)",
                          "SYMMETRY_GRID = GridSpec(65, 65)"),
+    # the seed registered on every command again, not on verify alone
+    "option-seed-every-command": ("src/qmeter/cli.py",
+                                  'f"RNG seed (alternative: ${SEED_ENV_VAR})", ("verify",)),',
+                                  'f"RNG seed (alternative: ${SEED_ENV_VAR})", ALL),'),
+    # a config key the command does not read kept, so its flag fails the command
+    "config-keeps-unread-key": ("src/qmeter/cli.py", "        if command in OPTIONS[key][3]:",
+                                "        if True:"),
     # a seed not given ignores $QMETER_SEED
     "option-seed-env-dropped": ("src/qmeter/cli.py",
                                 "os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))",
