@@ -144,8 +144,9 @@ def _record_pairs(record) -> list[tuple[str, str]]:
     pairs = [*node[:2], ("omega_tau", fmt(params.omega_tau)),
              ("beta_hbar_omega", fmt(params.beta_hbar_omega)), ("steps", str(params.steps)),
              *node[2:]]
-    pairs.extend((f"residual_{k}", fmt(v)) for k, v in sorted(record.residuals.items()))
-    pairs.append(("residual_max", fmt(max(record.residuals.values()))))
+    residuals = record.residuals
+    pairs.extend((f"residual_{k}", fmt(v)) for k, v in sorted(residuals.items()))
+    pairs.append(("residual_max", fmt(max(residuals.values()))))
     return pairs
 
 

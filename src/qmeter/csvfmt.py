@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import shutil
 import stat
 from pathlib import Path
 from typing import TextIO
@@ -176,19 +175,20 @@ def write_rows_csv(rows: np.ndarray, fields: list[str], path: Path) -> None:
     """Header plus one line per structured row, the ``fmt`` tokens of its
     fields, made by ``csv_lines`` ``NODE_BLOCK`` rows at a time so that the
     memory held does not grow with the table.  From ``SPLIT_BLOCKS`` blocks
-    on, ``split_blocks`` has a forked child format the second half, whose
-    bytes are copied after the parent's."""
+    on, ``split_blocks`` shares the blocks with a forked child that formats
+    them from the back: this process writes its blocks from the front
+    straight to the file, then copies the child's after them in table
+    order, one block at a time."""
     values = np.empty((min(len(rows), NODE_BLOCK), len(fields)))
     _token_tables()  # before a split, so that the child shares them
 
-    def work(starts, out):
-        for start in starts:
-            block = rows[start:start + NODE_BLOCK]
-            for j, name in enumerate(fields):
-                values[:len(block), j] = block[name]
-            (sink if out is None else out).write(csv_lines(values[:len(block)]))
+    def work(start, out):
+        block = rows[start:start + NODE_BLOCK]
+        for j, name in enumerate(fields):
+            values[:len(block), j] = block[name]
+        (sink if out is None else out).write(csv_lines(values[:len(block)]))
 
     with open_output(path) as fh:
         sink = fh.buffer
         sink.write((",".join(fields) + "\n").encode())
-        split_blocks(len(rows), work, lambda out, cut: shutil.copyfileobj(out, sink))
+        split_blocks(len(rows), work, lambda out, start, length: sink.write(out.read(length)))

@@ -367,28 +367,30 @@ class CycleEngine:
         record = self._evaluate_block(alpha, phi, np.empty(1, dtype=ROW_DTYPE))
         return record, {} if record.row["ok"][0] else failed_checks(record.checks)
 
-    def evaluate_nodes(self, alphas, phis) -> np.ndarray:
+    def evaluate_nodes(self, alphas, phis, first=None) -> np.ndarray:
         """Evaluate the nodes (alphas[k], phis[k]); one ROW_DTYPE row each.
 
         ``alphas`` and ``phis`` broadcast against each other and are taken
         in row-major order.  Nodes whose cycle invariants fail are kept with
         ``ok`` False.  The nodes are processed ``NODE_BLOCK`` at a time, so
         scratch memory does not grow with the number of nodes, and from
-        ``SPLIT_BLOCKS`` blocks on ``split_blocks`` gives the second half to
-        a forked child, whose rows are read back into place.
+        ``SPLIT_BLOCKS`` blocks on ``split_blocks`` shares the blocks with a
+        forked child that takes them from the back, whose rows are read back
+        into place.  ``first``, if given, runs in this process before it
+        takes a block, while the child works.
         """
         alphas, phis = (np.ravel(x) for x in np.broadcast_arrays(
             np.asarray(alphas, dtype=float), np.asarray(phis, dtype=float)))
         rows = np.empty(alphas.size, dtype=ROW_DTYPE)
 
-        def work(starts, out):
-            for start in starts:
-                block = slice(start, start + NODE_BLOCK)
-                self._evaluate_block(alphas[block], phis[block], rows[block])
+        def work(start, out):
+            block = slice(start, start + NODE_BLOCK)
+            self._evaluate_block(alphas[block], phis[block], rows[block])
             if out is not None:
-                out.write(rows[starts.start:].view(np.uint8))
+                out.write(rows[block].view(np.uint8))
 
-        split_blocks(rows.size, work, lambda out, cut: out.readinto(rows[cut:].view(np.uint8)))
+        split_blocks(rows.size, work, lambda out, start, length: out.readinto(
+            rows[start:start + NODE_BLOCK].view(np.uint8)), first)
         return rows
 
     def _evaluate_block(self, alphas, phis, out: np.ndarray) -> CycleRecord:

@@ -67,15 +67,16 @@ class Extremum:
     refinement_rounds: int
 
 
-def grid_sweep(engine: CycleEngine, grid: GridSpec) -> SweepTable:
+def grid_sweep(engine: CycleEngine, grid: GridSpec, first=None) -> SweepTable:
     """Evaluate one cycle per grid node, row-major by (alpha index, phi index).
 
     Nodes whose cycle invariants fail are kept but flagged; the sweep always
     completes.  The same engine parameters and grid give bitwise-identical
-    tables, and the table keeps ``engine``.
+    tables, and the table keeps ``engine``.  ``first`` goes to
+    ``evaluate_nodes``, which runs it before this process takes a node.
     """
     rows = engine.evaluate_nodes(np.repeat(grid.alphas(), grid.phi_points),
-                                 np.tile(grid.phis(), grid.alpha_points))
+                                 np.tile(grid.phis(), grid.alpha_points), first)
     return SweepTable(grid=grid, rows=rows, flagged=int(np.count_nonzero(~rows["ok"])),
                       engine=engine)
 

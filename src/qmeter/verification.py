@@ -185,8 +185,10 @@ def cycle_identity_suites(rng: np.random.Generator, samples: int = SAMPLES) -> l
     ]
 
 
-def suite_symmetry(params: EngineParams, grid: GridSpec) -> SuiteResult:
-    table = grid_sweep(CycleEngine(params), grid)
+def suite_symmetry(params: EngineParams, grid: GridSpec, first=None) -> SuiteResult:
+    """The symmetry line of ``grid``; ``first`` runs before this process
+    takes a grid node, while a forked child starts on the grid."""
+    table = grid_sweep(CycleEngine(params), grid, first)
     return _line("symmetry", {"symmetry": (symmetry_residual(table), TOL.symmetry)},
                  detail=f"{grid.alpha_points}x{grid.phi_points} grid")
 
@@ -197,13 +199,19 @@ def run_all_suites(params: EngineParams, seed: int, samples: int = SAMPLES,
         raise ConfigurationError("samples must be >= 1")
     _partner_indices(grid)  # an even phi count fails before any suite
     rng = np.random.default_rng(seed)
-    results = [
-        suite_unitarity(rng, params.omega_tau, samples=min(samples, SAMPLES)),
-        suite_propagator_error(params.omega_tau, params.steps),
-        suite_convergence(params.omega_tau),
-        suite_measurement_channel(rng, samples=min(samples, CHANNEL_SAMPLES),
-                                  rehermitize=rehermitize),
-    ]
-    results.extend(cycle_identity_suites(rng, samples=samples))
-    results.append(suite_symmetry(params, grid))
-    return results
+    results = []
+
+    def serial_suites():
+        # the symmetry grid's first: in this process, while a forked child
+        # starts on the grid, so that their builds stay in this process's cache
+        results.extend([
+            suite_unitarity(rng, params.omega_tau, samples=min(samples, SAMPLES)),
+            suite_propagator_error(params.omega_tau, params.steps),
+            suite_convergence(params.omega_tau),
+            suite_measurement_channel(rng, samples=min(samples, CHANNEL_SAMPLES),
+                                      rehermitize=rehermitize),
+            *cycle_identity_suites(rng, samples=samples),
+        ])
+
+    symmetry = suite_symmetry(params, grid, serial_suites)
+    return results + [symmetry]

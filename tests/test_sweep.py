@@ -116,8 +116,8 @@ def test_a_refinement_across_phi_zero_reports_phi_in_range():
     turn = 3.1556
 
     class Turned(CycleEngine):
-        def evaluate_nodes(self, alphas, phis):
-            rows = super().evaluate_nodes(alphas, np.mod(phis, TWO_PI) + turn)
+        def evaluate_nodes(self, alphas, phis, first=None):
+            rows = super().evaluate_nodes(alphas, np.mod(phis, TWO_PI) + turn, first)
             rows["phi"] = phis
             return rows
 

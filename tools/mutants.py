@@ -96,8 +96,27 @@ MUTANTS = {
                             "if usable.sum() >= 2:", "if usable.sum() >= 6:"),
     "entropy-12-zero": ("src/qmeter/cycle.py", '"entropy_12": abs(self.s1 - self.s2),',
                         '"entropy_12": 0.0 * abs(self.s1 - self.s2),'),
-    # the child's half of a split never taken in
-    "split-child-half-dropped": ("src/qmeter/blocks.py", "            receive(out, cut)\n", ""),
+    # the child's blocks of a split never taken in
+    "split-child-half-dropped": ("src/qmeter/blocks.py",
+                                 "                receive(out, (blocks - 1 - i) * NODE_BLOCK, "
+                                 "ends[i] - begin)\n", ""),
+    # the child claims its blocks from the front of the table, as the parent does
+    "split-child-from-front": ("src/qmeter/blocks.py",
+                               "work((blocks - 1 - len(ends)) * NODE_BLOCK, out)",
+                               "work(len(ends) * NODE_BLOCK, out)"),
+    # the child's blocks taken in in claim order, back to front
+    "split-child-claim-order": ("src/qmeter/blocks.py", "for i in reversed(range(taken)):",
+                                "for i in range(taken):"),
+    # first skipped when nothing forks
+    "split-first-skipped-unsplit": ("src/qmeter/blocks.py",
+                                    "        if first is not None:\n            first()\n"
+                                    "        for start in range(0, size, NODE_BLOCK):",
+                                    "        for start in range(0, size, NODE_BLOCK):"),
+    # the blocks a failed child claimed never run
+    "split-failed-child-blocks-skipped": ("src/qmeter/blocks.py",
+                                          "        else:\n            for start in range(front * "
+                                          "NODE_BLOCK, size, NODE_BLOCK):\n"
+                                          "                work(start, None)\n", ""),
     # a split from the first block, so that every table forks
     "split-from-one-block": ("src/qmeter/blocks.py", "SPLIT_BLOCKS = 4", "SPLIT_BLOCKS = 1"),
     # the grouped 2x2 product with each left factor on the next pair's diagonal block
