@@ -1,9 +1,9 @@
 """Command-line front end: run / sweep / slice / verify.
 
-Configuration comes from flat key=value files plus mirroring flags; physical
-inputs (peV, microseconds) are converted to the internal dimensionless pair
-(omega*tau, beta*hbar*omega) here and nowhere else.  Energies in all output
-are in units of hbar*omega.
+Configuration comes from flat key=value files plus mirroring flags; each input
+is checked where a command reads it, and ``engine_params`` alone converts the
+physical ones (peV, microseconds) to the dimensionless pair (omega*tau,
+beta*hbar*omega).  Energies in all output are in units of hbar*omega.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant violation.
 """
@@ -73,19 +73,15 @@ OPTIONS = {
 }
 
 
-def omega_tau(args: argparse.Namespace) -> float:
-    omega = args.hbar_omega_pev * 1e-12 / HBAR_EV_S  # rad/s
-    return omega * args.tau_us * 1e-6
-
-
-def beta_hbar_omega(args: argparse.Namespace) -> float:
-    if isinstance(args.beta, str):
-        return 1.0
-    return args.beta * args.hbar_omega_pev
-
-
 def engine_params(args: argparse.Namespace) -> EngineParams:
-    return EngineParams(omega_tau=omega_tau(args), beta_hbar_omega=beta_hbar_omega(args),
+    gap = args.hbar_omega_pev
+    # EngineParams checks the duration and temperature; the gap is checked
+    # here, as a negative one would make a negative tau a positive omega_tau
+    if not (math.isfinite(gap) and gap > 0):
+        raise ConfigurationError("hbar_omega_pev must be positive")
+    omega = gap * 1e-12 / HBAR_EV_S  # rad/s
+    return EngineParams(omega_tau=omega * args.tau_us * 1e-6,
+                        beta_hbar_omega=1.0 if isinstance(args.beta, str) else args.beta * gap,
                         steps=args.steps)
 
 
@@ -111,23 +107,6 @@ def parse_config_file(path: str | Path, command: str) -> list[str]:
     return tokens
 
 
-def build_config(args: argparse.Namespace) -> None:
-    """Check the gap; where a seed is read, fill one not given from the env var or DEFAULT_SEED."""
-    # EngineParams checks the duration and temperature; the gap is checked
-    # here, as a negative one would make a negative tau a positive omega_tau
-    if not (math.isfinite(args.hbar_omega_pev) and args.hbar_omega_pev > 0):
-        raise ConfigurationError("hbar_omega_pev must be positive")
-    if "seed" in args and args.seed is None:
-        env_seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
-    if "seed" in args and args.seed < 0:
-        raise ConfigurationError("seed must be >= 0")
-
-
 def write_table_csv(table: SweepTable, path: Path) -> None:
     write_rows_csv(table.rows, CSV_FIELDS, path)
 
@@ -151,10 +130,10 @@ def _record_pairs(record) -> list[tuple[str, str]]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    params = engine_params(args)
     if args.alpha_rad is None or args.phi_rad is None:
         raise ConfigurationError("run requires alpha_rad and phi_rad")
-    record, violations = CycleEngine(engine_params(args)).evaluate_flagged(
-        args.alpha_rad, args.phi_rad)
+    record, violations = CycleEngine(params).evaluate_flagged(args.alpha_rad, args.phi_rad)
     if violations:
         raise InvariantViolation(
             "cycle invariants violated: " + ", ".join(sorted(violations)), violations)
@@ -207,8 +186,8 @@ def _sweep_summary(args: argparse.Namespace, params: EngineParams, table: SweepT
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    objectives = _parse_objectives(args.objectives)
     params = engine_params(args)
+    objectives = _parse_objectives(args.objectives)
     grid = GridSpec(alpha_points=args.grid_alpha_points, phi_points=args.grid_phi_points)
     _partner_indices(grid)  # the symmetry residual needs an odd phi count
     out_dir = Path(args.output)
@@ -226,12 +205,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
+    params = engine_params(args)
     if (args.fixed_alpha is None) == (args.fixed_phi is None):
         raise ConfigurationError("give exactly one of --fixed-alpha / --fixed-phi")
-    fixed = "alpha" if args.fixed_alpha is not None else "phi"
-    value = args.fixed_alpha if fixed == "alpha" else args.fixed_phi
+    fixed, value = (("alpha", args.fixed_alpha) if args.fixed_phi is None
+                    else ("phi", args.fixed_phi))
     _slice_nodes(fixed, value, args.points)  # a bad slice fails before the engine build
-    profile = slice_profile(CycleEngine(engine_params(args)), fixed, value, points=args.points)
+    profile = slice_profile(CycleEngine(params), fixed, value, points=args.points)
     path = Path(args.output)
     write_slice_csv(profile, path)
     print(f"wrote {path} ({len(profile)} rows)")
@@ -239,10 +219,21 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all_suites(engine_params(args), args.seed, args.samples,
+    params = engine_params(args)
+    seed = args.seed
+    if seed is None:
+        env_seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigurationError(
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
+    results = run_all_suites(params, seed, args.samples,
                              GridSpec(args.grid_alpha_points, args.grid_phi_points),
                              rehermitize=args.inject_fault != "skip-rehermitize")
-    print(f"seed={args.seed}")
+    print(f"seed={seed}")
     all_passed = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -323,7 +314,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args = parser.parse_args([argv[0], *tokens, *argv[1:]])
             except ConfigurationError as exc:  # argv alone parsed, so the file is at fault
                 raise ConfigurationError(f"{args.config}: {exc}") from None
-        build_config(args)
         return args.func(args)
     # ValueError covers the package's own errors and sizes past numpy's index
     # range; sizes too large to allocate and unusable paths are errors too

@@ -31,7 +31,7 @@ import numpy as np
 from .blocks import NODE_BLOCK, split_blocks
 from .errors import InvariantViolation, ValidationError, failed_checks, require_within
 from .measurement import MeasurementBasis, _basis, _measure
-from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
+from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 2
 from .propagator import MAX_STEPS, exact_drive_propagators, time_ordered_propagator
 from .qubit_algebra import (
     KET_DOWN,

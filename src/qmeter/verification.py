@@ -15,7 +15,7 @@ import numpy as np
 from .cycle import CHECKS, CycleEngine, EngineParams, evaluate_samples
 from .errors import ConfigurationError, failed_checks
 from .measurement import TWO_PI, _basis, _measure
-from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 4
+from .measurement import basis_kets, measure  # noqa: F401  tracer targets until ROADMAP item 2
 from .propagator import (
     REFERENCE_STEPS,
     convergence_order,

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from qmeter.blocks import NODE_BLOCK
 from qmeter.cli import (
     BETA_TOKEN,
-    beta_hbar_omega,
-    build_config,
     build_parser,
+    engine_params,
     main,
-    omega_tau,
     parse_config_file,
 )
 from qmeter.csvfmt import CSV_HEADER, csv_lines, fmt, write_rows_csv
@@ -50,14 +48,14 @@ def parse_record(out):
 
 def test_unit_conversion_matches_stated_constant():
     defaults = build_parser().parse_args(["run"])
-    assert omega_tau(defaults) == pytest.approx(0.015193, abs=1e-6)
-    assert omega_tau(defaults) == pytest.approx(DEFAULT_OMEGA_TAU, abs=1e-15)
-    assert beta_hbar_omega(defaults) == 1.0
+    assert engine_params(defaults).omega_tau == pytest.approx(0.015193, abs=1e-6)
+    assert engine_params(defaults).omega_tau == pytest.approx(DEFAULT_OMEGA_TAU, abs=1e-15)
+    assert engine_params(defaults).beta_hbar_omega == 1.0
 
 
 def test_beta_explicit_value_scales_with_gap():
     args = build_parser().parse_args(["run", "--hbar-omega-pev", "2", "--beta", "0.75"])
-    assert beta_hbar_omega(args) == 1.5
+    assert engine_params(args).beta_hbar_omega == 1.5
 
 
 def test_run_commuting_point(capsys):
@@ -115,6 +113,26 @@ def test_bad_physical_inputs_fail_before_any_work(tmp_path, capsys, monkeypatch,
     rc, out, err = run_cli(args + BAD_INPUTS[bad], capsys)
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each command with a zero gap and one bad input of its own
+GAP_AND_OWN_INPUT = {
+    "run-without-angles": ["run"],
+    "sweep-objective-unknown": ["sweep", "--objectives", "bogus", "--output", "{tmp}/out"],
+    "slice-both-angles-fixed": ["slice", "--fixed-alpha", "1", "--fixed-phi", "1",
+                                "--output", "{tmp}/slice.csv"],
+    "verify-seed-env-not-an-integer": ["verify"],
+}
+
+
+@pytest.mark.parametrize("argv", GAP_AND_OWN_INPUT.values(), ids=GAP_AND_OWN_INPUT)
+def test_the_gap_is_checked_before_the_commands_own_inputs(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("QMETER_SEED", "abc")
+    args = [arg.format(tmp=tmp_path) for arg in argv] + ["--hbar-omega-pev", "0"]
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 1 and out == ""
+    assert err == "error: hbar_omega_pev must be positive\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -560,7 +578,6 @@ def test_each_command_registers_the_options_it_reads(tmp_path, capsys, command):
     registered = {action.dest for action in parser._actions} - {"help", "config"}
     argv = [arg.format(tmp=tmp_path) for arg in READ_ARGVS[command]]
     args = Recording(**vars(build_parser().parse_args(argv)))
-    build_config(args)
     assert args.func(args) == 0
     capsys.readouterr()
     assert {name for name in reads if not name.startswith("_")} - {"func"} == registered

@@ -11,7 +11,9 @@ must occur exactly once in the file, is replaced by the new, and
 ``python -m pytest -x -q`` runs there with that copy's ``src`` on the path.
 One line per mutant says ``killed`` with the first test that failed, or
 ``survived``.  A mutant whose old text is missing or repeated is reported as
-``stale`` and not run.  The checkout itself is never written.
+``stale`` and not run.  The checkout itself is never written.  Exit status is
+0 when every mutant run was killed, 1 when one survived or is stale, and 2 for
+an unknown name.
 
 Uses only the standard library and is not part of the test suite.  A killed
 mutant stops at its first failure; a surviving one costs a full suite run.
@@ -143,6 +145,11 @@ MUTANTS = {
     # a config key the command does not read kept, so its flag fails the command
     "config-keeps-unread-key": ("src/qmeter/cli.py", "        if command in OPTIONS[key][3]:",
                                 "        if True:"),
+    # a gap not checked, so a negative gap times a negative tau passes as a positive omega_tau
+    "engine-params-gap-unchecked": ("src/qmeter/cli.py",
+                                    "    if not (math.isfinite(gap) and gap > 0):\n"
+                                    '        raise ConfigurationError("hbar_omega_pev must be '
+                                    'positive")\n', ""),
     # a seed not given ignores $QMETER_SEED
     "option-seed-env-dropped": ("src/qmeter/cli.py",
                                 "os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))",
@@ -167,10 +174,11 @@ def first_failure(output: str) -> str:
     return lines[-1] if lines else "no output"
 
 
-def run_mutant(name: str, path: str, old: str, new: str) -> str:
+def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
+    """The mutant's verdict (``killed``, ``survived`` or ``stale``) and what supports it."""
     source = (ROOT / path).read_text()
     if source.count(old) != 1:
-        return f"{name}: stale ({source.count(old)} matches of its old text in {path})"
+        return "stale", f"({source.count(old)} matches of its old text in {path})"
     with tempfile.TemporaryDirectory(prefix="qmeter-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
@@ -179,8 +187,8 @@ def run_mutant(name: str, path: str, old: str, new: str) -> str:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         proc = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
-        return f"{name}: survived ({first_failure(proc.stdout)})"
-    return f"{name}: killed by {first_failure(proc.stdout + proc.stderr)}"
+        return "survived", f"({first_failure(proc.stdout)})"
+    return "killed", f"by {first_failure(proc.stdout + proc.stderr)}"
 
 
 def main(argv: list[str]) -> int:
@@ -189,9 +197,12 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(MUTANTS)}",
               file=sys.stderr)
         return 2
+    missed = 0
     for name in argv or MUTANTS:
-        print(run_mutant(name, *MUTANTS[name]), flush=True)
-    return 0
+        verdict, detail = run_mutant(*MUTANTS[name])
+        print(f"{name}: {verdict} {detail}", flush=True)
+        missed += verdict != "killed"
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
